@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .gev import GAMMA_TINY, gev_cdf, gev_quantile
+from .gev import GAMMA_TINY, gev_cdf, gev_quantile, gev_upper_quantile
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,10 @@ class NormalizingConstants:
 class ReferenceDistribution:
     """A distribution F in the domain of attraction of the GEV with index gamma0.
 
-    ``quantile`` is the generalized inverse of F on (0,1).  ``cdf`` is
-    optional and only used by convergence diagnostics.  For members with
+    ``quantile`` is the generalized inverse of F on (0,1).
+    ``upper_quantile(p)`` is quantile(1 - p) evaluated without forming
+    1 - p; it is optional, but exact block-maximum draws need it.  ``cdf``
+    is optional and only used by convergence diagnostics.  For members with
     gamma0 == 0, either ``tail_quantile_integral`` (closed form of
     \\int_0^t U(s) ds) or an integrable tail quantile near 0 is required;
     ``scale_override`` short-circuits the scale-function formula entirely.
@@ -48,6 +50,7 @@ class ReferenceDistribution:
     right_endpoint: float
     left_endpoint: float
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    upper_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tail_quantile_integral: Optional[Callable[[float], float]] = None
     scale_override: Optional[Callable[[float], float]] = None
     spec: str = ""
@@ -105,14 +108,36 @@ def norm_constants(dist: ReferenceDistribution, m: int) -> NormalizingConstants:
     return NormalizingConstants(a_m=a_m, b_m=b_m, m=int(m))
 
 
-def sample_iid(dist: ReferenceDistribution, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws by inverse transform; deterministic given seed."""
+def sample_iid(dist: ReferenceDistribution, n: int, seed, m: int = 1) -> np.ndarray:
+    """n i.i.d. draws of F^m by inverse transform; deterministic given seed.
+
+    With m = 1 these are draws of F.  With m > 1 each value is the maximum
+    of a block of m, drawn in one step as quantile(U^(1/m)): V = U^(1/m)
+    is formed through log V = log(U)/m, and where V >= 1/2 the draw is
+    upper_quantile(1 - V) with 1 - V = -expm1(log V), so neither tail
+    rounds 1 - V.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if m < 1:
+        raise ValueError("block length m must be >= 1")
+    if m > 1 and dist.upper_quantile is None:
+        raise ValueError(
+            f"member '{dist.name}' has no upper_quantile; "
+            f"block maxima of length {m} cannot be drawn exactly"
+        )
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     u[u == 0.0] = np.nextafter(0.0, 1.0)
-    return np.asarray(dist.quantile(u), dtype=float)
+    if m == 1:
+        return np.asarray(dist.quantile(u), dtype=float)
+    log_v = np.log(u) / m
+    v = np.exp(log_v)
+    lower = v < 0.5
+    out = np.empty(n)
+    out[lower] = dist.quantile(v[lower])
+    out[~lower] = dist.upper_quantile(-np.expm1(log_v[~lower]))
+    return out
 
 
 # --- catalog members ----------------------------------------------------
@@ -126,6 +151,7 @@ def pareto(alpha: float = 1.0) -> ReferenceDistribution:
         name=f"pareto(alpha={alpha:g})",
         gamma0=1.0 / alpha,
         quantile=lambda u: (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / alpha),
+        upper_quantile=lambda p: np.asarray(p, dtype=float) ** (-1.0 / alpha),
         cdf=lambda x: np.where(np.asarray(x, dtype=float) >= 1.0,
                                1.0 - np.asarray(x, dtype=float) ** (-alpha), 0.0),
         right_endpoint=math.inf,
@@ -140,6 +166,7 @@ def exponential() -> ReferenceDistribution:
         name="exponential",
         gamma0=0.0,
         quantile=lambda u: -np.log1p(-np.asarray(u, dtype=float)),
+        upper_quantile=lambda p: -np.log(np.asarray(p, dtype=float)),
         cdf=lambda x: np.where(np.asarray(x, dtype=float) >= 0.0,
                                -np.expm1(-np.asarray(x, dtype=float)), 0.0),
         right_endpoint=math.inf,
@@ -161,6 +188,7 @@ def beta_tail(beta: float = 2.0) -> ReferenceDistribution:
         name=f"beta-tail(beta={beta:g})",
         gamma0=-1.0 / beta,
         quantile=lambda u: 1.0 - (1.0 - np.asarray(u, dtype=float)) ** (1.0 / beta),
+        upper_quantile=lambda p: 1.0 - np.asarray(p, dtype=float) ** (1.0 / beta),
         cdf=lambda x: np.clip(1.0 - (1.0 - np.clip(np.asarray(x, dtype=float), 0.0, 1.0)) ** beta, 0.0, 1.0),
         right_endpoint=1.0,
         left_endpoint=0.0,
@@ -174,6 +202,7 @@ def cauchy() -> ReferenceDistribution:
         name="cauchy",
         gamma0=1.0,
         quantile=lambda u: np.tan(np.pi * (np.asarray(u, dtype=float) - 0.5)),
+        upper_quantile=lambda p: 1.0 / np.tan(np.pi * np.asarray(p, dtype=float)),
         cdf=lambda x: 0.5 + np.arctan(np.asarray(x, dtype=float)) / np.pi,
         right_endpoint=math.inf,
         left_endpoint=-math.inf,
@@ -201,6 +230,7 @@ def gev_reference(gamma: float) -> ReferenceDistribution:
         name=f"gev(gamma={gamma:g})",
         gamma0=float(gamma),
         quantile=lambda u: gev_quantile(gamma, u),
+        upper_quantile=lambda p: gev_upper_quantile(gamma, p),
         cdf=lambda x: gev_cdf(gamma, x),
         right_endpoint=hi,
         left_endpoint=lo,

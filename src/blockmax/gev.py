@@ -106,14 +106,27 @@ def gev_quantile(gamma: float, u) -> float | np.ndarray:
     u = np.atleast_1d(u)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    # Gumbel quantile; the general case is expm1(gamma*w)/gamma
-    w = -np.log(-np.log(u))
-    if abs(gamma) < GAMMA_TINY:
-        out = w
-    else:
-        with np.errstate(over="ignore"):
-            out = np.expm1(gamma * w) / gamma
+    out = _from_gumbel(gamma, -np.log(-np.log(u)))
     return _split_result(out if not scalar else out[0], scalar)
+
+
+def gev_upper_quantile(gamma: float, p) -> float | np.ndarray:
+    """gev_quantile(gamma, 1 - p) for p in (0,1), without rounding 1 - p."""
+    p = np.asarray(p, dtype=float)
+    scalar = p.ndim == 0
+    p = np.atleast_1d(p)
+    if np.any((p <= 0.0) | (p >= 1.0)):
+        raise ValueError("upper-tail probability must lie strictly in (0, 1)")
+    out = _from_gumbel(gamma, -np.log(-np.log1p(-p)))
+    return _split_result(out if not scalar else out[0], scalar)
+
+
+def _from_gumbel(gamma: float, w: np.ndarray) -> np.ndarray:
+    """GEV quantile from the Gumbel quantile w: expm1(gamma*w)/gamma."""
+    if abs(gamma) < GAMMA_TINY:
+        return w
+    with np.errstate(over="ignore"):
+        return np.expm1(gamma * w) / gamma
 
 
 def gev_sample(params: GevParams, n: int, seed) -> np.ndarray:

@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .blocks import EmpiricalMeasure, block_maxima, empirical_mean_loglik, ks_distance, normalize
-from .distributions import ReferenceDistribution, norm_constants, sample_iid
+from .blocks import (
+    BlockMaximaSeries,
+    EmpiricalMeasure,
+    NormalizedSeries,
+    block_maxima,  # noqa: F401  unused here; benchmarks/tracing.py wraps this binding
+    empirical_mean_loglik,
+    ks_distance,
+    normalize,
+)
+from .distributions import NormalizingConstants, ReferenceDistribution, norm_constants, sample_iid
 from .fit import FitOptions, fit_mle
-from .gev import GevParams, gev_loglik, gev_quantile
+from .gev import EULER_GAMMA, GevParams
 
-CELL_BUDGET = 10_000_000  # max draws n*m per replication accepted from config files
+CELL_BUDGET = 10_000_000  # max n*m per replication (observations the maxima stand for)
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,26 @@ class StudyReport:
         return lines
 
 
-def _rep_rng(seed: int, cell: int, rep: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
+def _cell_maxima(
+    dist: ReferenceDistribution,
+    n: int,
+    constants: NormalizingConstants,
+    replications: int,
+    seed: int,
+    cell: int,
+    stream: int = 0,
+) -> Iterator[tuple[BlockMaximaSeries, NormalizedSeries]]:
+    """Each replication's n block maxima of length constants.m, raw and normalized.
+
+    A replication draws its maxima directly from F^m: n draws, not n*m
+    draws blocked afterwards.
+    """
+    m = constants.m
+    for rep in range(replications):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
+        values = sample_iid(dist, int(n), rng, m)
+        series = BlockMaximaSeries(values=values, block_length=m, source_length=int(n) * m)
+        yield series, normalize(series, constants)
 
 
 def _quartiles(values) -> tuple[float, float, float]:
@@ -164,8 +189,8 @@ def run_consistency_study(
 ) -> StudyReport:
     """Fit block maxima over an n-grid and record normalized errors.
 
-    For each n: m = growth(n); each replication draws n*m points, fits
-    the MLE on the n block maxima, and reports the three error
+    For each n: m = growth(n); each replication draws n block maxima
+    from F^m, fits the MLE on them, and reports the three error
     coordinates of the consistency statement using the exact constants.
     Non-converged fits are recorded with their flag, never dropped.
     """
@@ -180,12 +205,9 @@ def run_consistency_study(
         m = growth.block_length(int(n))
         constants = norm_constants(dist, m)
         cell_rows: list[StudyRow] = []
-        for rep in range(replications):
-            rng = _rep_rng(seed, cell, rep)
-            data = sample_iid(dist, int(n) * m, rng)
-            series = block_maxima(data, m)
+        for rep, (series, normalized) in enumerate(
+                _cell_maxima(dist, n, constants, replications, seed, cell)):
             result = fit_mle(series.values, fit_options)
-            normalized = normalize(series, constants)
             measure = EmpiricalMeasure.from_values(normalized.values)
             cell_rows.append(StudyRow(
                 n=int(n),
@@ -222,17 +244,13 @@ def run_consistency_study(
 def expected_loglik(gamma0: float) -> float:
     """Mean of the standardized log-likelihood under its own law.
 
-    Adaptive quadrature through the probability integral transform; this
-    is the limiting value of the empirical mean log-likelihood at the
-    true parameters.
+    In closed form -(1 + gamma0) * euler_gamma - 1 (write the GEV variate
+    through a unit exponential); this is the limiting value of the
+    empirical mean log-likelihood at the true parameters.
     """
     if not gamma0 > -1.0:
         raise ValueError("defined for index > -1 only")
-    value, _ = quad(
-        lambda u: gev_loglik(gamma0, gev_quantile(gamma0, u)),
-        0.0, 1.0, limit=200, epsabs=1e-10, epsrel=1e-10,
-    )
-    return float(value)
+    return -(1.0 + gamma0) * EULER_GAMMA - 1.0
 
 
 @dataclass(frozen=True)
@@ -266,10 +284,7 @@ def check_crucial_lemma(
         constants = norm_constants(dist, m)
         gaps = []
         n_inf = 0
-        for rep in range(replications):
-            rng = _rep_rng(seed, cell, rep, stream=1)
-            data = sample_iid(dist, int(n) * m, rng)
-            normalized = normalize(block_maxima(data, m), constants)
+        for _, normalized in _cell_maxima(dist, n, constants, replications, seed, cell, 1):
             value = empirical_mean_loglik(EmpiricalMeasure.from_values(normalized.values), truth)
             if math.isfinite(value):
                 gaps.append(abs(value - target))
@@ -315,12 +330,8 @@ def check_slow_growth_obstruction(
         for stream, rule in ((2, slow), (3, fast)):
             m = rule.block_length(int(n))
             constants = norm_constants(dist, m)
-            mins = []
-            for rep in range(replications):
-                rng = _rep_rng(seed, cell, rep, stream=stream)
-                data = sample_iid(dist, int(n) * m, rng)
-                normalized = normalize(block_maxima(data, m), constants)
-                mins.append(float(np.min(normalized.values)))
+            mins = [float(np.min(normalized.values)) for _, normalized in
+                    _cell_maxima(dist, n, constants, replications, seed, cell, stream)]
             medians.append(float(np.median(mins)))
             ms.append(m)
         out.append(ObstructionRow(
@@ -447,7 +458,7 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
             m = rule.block_length(n)
             if n * m > CELL_BUDGET:
                 problems.append(
-                    f"cell n={n}, m={m} needs {n * m} draws per replication, "
+                    f"cell n={n}, m={m} stands for {n * m} observations per replication, "
                     f"over the {CELL_BUDGET} budget"
                 )
     if "crucial_lemma" in config.checks and not config.growth.satisfies_growth_condition:

@@ -199,7 +199,7 @@ def test_criterion_06_empirical_mean_limit():
         se = float(np.std(values, ddof=1) / math.sqrt(draws.size))
         gap = abs(expected_loglik(gamma0) - mc_mean)
         mc_ok &= gap <= 3 * se
-        mc_details.append(f"gamma0={gamma0:+.1f}: |quad-MC|={gap:.2e} (3se={3 * se:.2e})")
+        mc_details.append(f"gamma0={gamma0:+.1f}: |exact-MC|={gap:.2e} (3se={3 * se:.2e})")
     elapsed = time.perf_counter() - t0
     report(6, trend_ok and gev_ok and mc_ok and elapsed < 300.0,
            f"median gaps {['%.4f' % g for g in gaps]} decreasing; "

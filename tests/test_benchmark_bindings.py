@@ -1,0 +1,37 @@
+"""The traced benchmark wraps functions where their caller looks them up.
+
+``benchmarks/tracing.py`` lists (layer, function, caller modules, counter)
+in ``TRACED``; a binding that no longer resolves drops its per-layer
+metrics from the traced run.  The list is read with ``ast``, so nothing
+under ``benchmarks/`` is imported or written.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+
+
+def _traced_bindings():
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return [(caller, ast.literal_eval(entry.elts[1]))
+                    for entry in node.value.elts
+                    for caller in ast.literal_eval(entry.elts[2])]
+    raise AssertionError(f"no TRACED assignment in {TRACING}")
+
+
+BINDINGS = _traced_bindings()
+
+
+def test_bindings_listed():
+    assert len(BINDINGS) >= 20
+
+
+@pytest.mark.parametrize("caller,name", BINDINGS, ids=[f"{c}.{n}" for c, n in BINDINGS])
+def test_traced_binding_resolves(caller, name):
+    assert callable(getattr(importlib.import_module(caller), name, None)), f"{caller}.{name}"

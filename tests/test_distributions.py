@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import kstest, ks_2samp
 
 from blockmax import (
     beta_tail,
+    block_maxima,
     catalog,
     cauchy,
     check_norm_equivalence,
@@ -99,6 +103,67 @@ class TestSampling:
         a = sample_iid(exponential(), 1000, seed=99)
         b = sample_iid(exponential(), 1000, seed=99)
         np.testing.assert_array_equal(a, b)
+
+
+MEMBERS = catalog()
+MEMBER_IDS = [dist.name for dist in MEMBERS]
+
+
+class TestBlockMaximumDraws:
+    """sample_iid(dist, n, seed, m) draws n maxima of blocks of m exactly."""
+
+    N = 5_000
+    LEVEL = 1e-3
+
+    @staticmethod
+    def _seed(dist, m, stream):
+        return np.random.SeedSequence(2024, spawn_key=(stream, MEMBER_IDS.index(dist.name), m))
+
+    @pytest.mark.parametrize("m", [3, 48, 133])
+    @pytest.mark.parametrize("dist", MEMBERS, ids=MEMBER_IDS)
+    def test_law_is_power_of_cdf(self, dist, m):
+        x = sample_iid(dist, self.N, self._seed(dist, m, 0), m)
+        assert kstest(x, lambda t: np.asarray(dist.cdf(t)) ** m).pvalue > self.LEVEL
+
+    @pytest.mark.parametrize("m", [3, 48, 133])
+    @pytest.mark.parametrize("dist", MEMBERS, ids=MEMBER_IDS)
+    def test_law_matches_blocked_draws(self, dist, m):
+        # the reference path: n*m plain draws, cut into blocks of m
+        x = sample_iid(dist, self.N, self._seed(dist, m, 1), m)
+        reference = block_maxima(sample_iid(dist, self.N * m, self._seed(dist, m, 2)), m)
+        assert ks_2samp(x, reference.values).pvalue > self.LEVEL
+
+    @pytest.mark.parametrize("dist", MEMBERS, ids=MEMBER_IDS)
+    def test_unit_block_is_the_plain_quantile(self, dist):
+        rng = np.random.default_rng(17)
+        u = rng.random(10_000)
+        u[u == 0.0] = np.nextafter(0.0, 1.0)
+        expected = np.asarray(dist.quantile(u), dtype=float)
+        for drawn in (sample_iid(dist, 10_000, 17), sample_iid(dist, 10_000, 17, 1)):
+            assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dist", MEMBERS, ids=MEMBER_IDS)
+    def test_upper_quantile_where_one_minus_p_is_exact(self, dist):
+        p = 2.0 ** -np.arange(1, 21)
+        np.testing.assert_allclose(dist.upper_quantile(p), dist.quantile(1.0 - p),
+                                   rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("dist", MEMBERS, ids=MEMBER_IDS)
+    def test_no_runtime_warning(self, dist):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for m in (1, 3, 133):
+                assert np.all(np.isfinite(sample_iid(dist, 100_000, 5, m)))
+
+    def test_member_without_upper_quantile_rejected(self):
+        plain = dataclasses.replace(cauchy(), upper_quantile=None)
+        assert sample_iid(plain, 10, 1).shape == (10,)
+        with pytest.raises(ValueError, match="'cauchy'"):
+            sample_iid(plain, 10, 1, 3)
+
+    def test_block_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            sample_iid(cauchy(), 10, 1, 0)
 
 
 class TestCatalog:

@@ -193,34 +193,44 @@ class TestObstruction:
         return (float(dist.quantile(p)) - constants.b_m) / constants.a_m
 
     def test_criterion_7_medians_follow_their_exact_law(self):
-        # criterion 7's slow cells, same seed and replication count, so
-        # the slow column is the one criterion 7 sees; the fast column is
-        # drawn from the same rule on another stream, an independent copy.
-        # The sample median of 50 lies between the 25th and 26th order
+        # criterion 7's call, same member, grid, rules, replication count
+        # and seed, so both columns are the ones criterion 7 sees.  Each
+        # column is checked against the exact law of its own rule.  The
+        # sample median of 50 lies between the 25th and 26th order
         # statistics, whose uniform images are Beta(25, 26) and Beta(26, 25).
         grid, replications, level = (1_000, 10_000, 100_000), 50, 1e-4
-        rule = slow_growth()
-        ms = [rule.block_length(n) for n in grid]
-        assert ms == [3, 4, 4]
-        for m in set(ms):
+        slow, fast = slow_growth(), poly_log_growth()
+        assert [slow.block_length(n) for n in grid] == [3, 4, 4]
+        assert [fast.block_length(n) for n in grid] == [48, 85, 133]
+        for m in (3, 4):
             constants = norm_constants(cauchy(), m)
             assert constants.a_m == pytest.approx(1.0 / math.tan(math.pi / m))
             assert constants.b_m == pytest.approx(1.0 / math.tan(math.pi / m))
-        exact = [self._cauchy_min_quantile(0.5, n, m) for n, m in zip(grid, ms)]
-        lower = [self._cauchy_min_quantile(beta.ppf(level / 2, 25, 26), n, m)
-                 for n, m in zip(grid, ms)]
-        upper = [self._cauchy_min_quantile(beta.isf(level / 2, 26, 25), n, m)
-                 for n, m in zip(grid, ms)]
-        # the exact median rises at the m step and falls once m is fixed,
-        # and the bands at 1e3 and 1e4 are disjoint: a strictly decreasing
-        # chain of sample medians on this grid has probability below 1e-4
-        assert exact[0] < exact[1] and exact[1] > exact[2]
-        assert upper[0] < lower[1]
+
+        def bands(rule):
+            ms = [rule.block_length(n) for n in grid]
+            exact = [self._cauchy_min_quantile(0.5, n, m) for n, m in zip(grid, ms)]
+            lower = [self._cauchy_min_quantile(beta.ppf(level / 2, 25, 26), n, m)
+                     for n, m in zip(grid, ms)]
+            upper = [self._cauchy_min_quantile(beta.isf(level / 2, 26, 25), n, m)
+                     for n, m in zip(grid, ms)]
+            return exact, lower, upper
+
+        slow_exact, slow_lower, slow_upper = bands(slow)
+        fast_exact, fast_lower, fast_upper = bands(fast)
+        # the exact slow median rises at the m step and falls once m is
+        # fixed, and the bands at 1e3 and 1e4 are disjoint: a strictly
+        # decreasing chain of sample medians on this grid has probability
+        # below 1e-4.  The exact fast medians stay inside the limit support.
+        assert slow_exact[0] < slow_exact[1] and slow_exact[1] > slow_exact[2]
+        assert slow_upper[0] < slow_lower[1]
+        assert [round(v, 2) for v in fast_exact] == [-0.86, -0.89, -0.91]
         rows = check_slow_growth_obstruction(
-            cauchy(), grid, rule, rule, replications, seed=20240811,
+            cauchy(), grid, slow, fast, replications, seed=20240811,
         )
-        for row, lo, hi in zip(rows, lower, upper):
+        for row, lo, hi in zip(rows, slow_lower, slow_upper):
             assert lo < row.median_min_slow < hi, (row, lo, hi)
+        for row, lo, hi in zip(rows, fast_lower, fast_upper):
             assert lo < row.median_min_fast < hi, (row, lo, hi)
 
     def test_min_is_below_every_single_element(self):
