@@ -196,12 +196,19 @@ def beta_tail(beta: float = 2.0) -> ReferenceDistribution:
     )
 
 
+def _cauchy_quantile(u):
+    # below 1/2, -1/tan(pi*u) keeps the precision that u - 1/2 would round away
+    u = np.asarray(u, dtype=float)
+    lower = -1.0 / np.tan(np.pi * np.minimum(u, 0.5))
+    return np.where(u < 0.5, lower, np.tan(np.pi * (u - 0.5)))[()]
+
+
 def cauchy() -> ReferenceDistribution:
     """Standard Cauchy; index 1 with left endpoint -inf."""
     return ReferenceDistribution(
         name="cauchy",
         gamma0=1.0,
-        quantile=lambda u: np.tan(np.pi * (np.asarray(u, dtype=float) - 0.5)),
+        quantile=_cauchy_quantile,
         upper_quantile=lambda p: 1.0 / np.tan(np.pi * np.asarray(p, dtype=float)),
         cdf=lambda x: 0.5 + np.arctan(np.asarray(x, dtype=float)) / np.pi,
         right_endpoint=math.inf,

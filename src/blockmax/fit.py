@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  benchmarks/tracing.py wraps this binding
 from scipy.special import gamma as gamma_func
 
 from .blocks import BlockMaximaSeries
@@ -65,7 +65,8 @@ class FitResult:
     diagnostic: str = ""
 
     def __post_init__(self):
-        assert self.theta_hat.gamma > -1.0
+        if not self.theta_hat.gamma > -1.0:
+            raise ValueError(f"shape estimate must be > -1, got {self.theta_hat.gamma}")
 
 
 def _as_values(series) -> np.ndarray:
@@ -159,34 +160,37 @@ def pwm_init(series) -> GevParams:
     return _repair_feasibility(GevParams(gamma, float(mu), float(sigma)), x)
 
 
-def _newton_polish(theta_vec, x, grad_tol, max_steps=60):
-    """Damped Newton ascent on the mean log-likelihood with feasibility
-    backtracking.  Returns (theta_vec, n_iterations, stall_reason)."""
+def _newton_ascent(theta_vec, y, max_iters, grad_weights, grad_stop):
+    """Saddle-free Newton ascent on the mean log-likelihood of ``y`` with
+    feasibility backtracking, until |grad_weights * gradient| <= grad_stop.
+    Returns (theta_vec, n_iterations, stall_reason)."""
 
     def value(vec):
-        return sample_loglik(GevParams.from_array(vec), x)
+        return sample_loglik(GevParams.from_array(vec), y)
 
     current = value(theta_vec)
-    g = sample_loglik_gradient(GevParams.from_array(theta_vec), x)
-    for it in range(max_steps):
+    g = sample_loglik_gradient(GevParams.from_array(theta_vec), y)
+    for it in range(max_iters):
         g_norm = np.linalg.norm(g)
-        if g_norm <= grad_tol:
+        if np.linalg.norm(grad_weights * g) <= grad_stop:
             return theta_vec, it, ""
-        h = numeric_hessian(GevParams.from_array(theta_vec), x)
-        step = None
+        # Newton step on |H| (eigenvalue magnitudes, floored), so it ascends
+        # even away from a maximum; the gradient where H raises or is not finite.
         try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)) or float(g @ step) <= 0.0:
-            step = g / max(1.0, g_norm)  # ascent fallback
+            lam, vecs = np.linalg.eigh(numeric_hessian(GevParams.from_array(theta_vec), y))
+            mag = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
+            step = vecs @ ((vecs.T @ g) / mag)
+        except (ValueError, np.linalg.LinAlgError):
+            step = g
+        if not np.all(np.isfinite(step)):
+            step = g
+        step = step / max(1.0, float(np.linalg.norm(step)))  # at most 1 in y units
         # Close to the optimum the attainable improvement drops below the
         # rounding noise of the mean, so a strict-ascent rule would stall
         # with the gradient still above tolerance.  Accept a step whose
         # value is within noise as long as it halves the gradient norm.
         noise = 1e-12 * (1.0 + abs(current))
         scale = 1.0
-        accepted = False
         for _ in range(40):
             cand = theta_vec + scale * step
             if (GAMMA_FLOOR < cand[0] <= GAMMA_CAP) and cand[2] > 0:
@@ -194,63 +198,56 @@ def _newton_polish(theta_vec, x, grad_tol, max_steps=60):
                 if math.isfinite(cand_val):
                     if cand_val > current:
                         theta_vec, current = cand, cand_val
-                        g = sample_loglik_gradient(GevParams.from_array(theta_vec), x)
-                        accepted = True
+                        g = sample_loglik_gradient(GevParams.from_array(theta_vec), y)
                         break
                     if cand_val >= current - noise:
-                        cand_g = sample_loglik_gradient(GevParams.from_array(cand), x)
+                        cand_g = sample_loglik_gradient(GevParams.from_array(cand), y)
                         if np.linalg.norm(cand_g) < 0.5 * g_norm:
                             theta_vec, current, g = cand, max(cand_val, current), cand_g
-                            accepted = True
                             break
             scale *= 0.5
-        if not accepted:
+        else:
             return theta_vec, it + 1, "plateau: no ascent step found"
-    return theta_vec, max_steps, "polish iteration limit reached"
+    return theta_vec, max_iters, "Newton iteration limit reached"
 
 
 def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     """Find a local maximum of the mean GEV log-likelihood.
 
-    Derivative-free simplex search from the moment start, then damped
-    Newton polishing, then first- and second-order verification.  Points
-    outside the feasible region (or with shape outside (-1, 10]) score
-    -inf and are never accepted.
+    Newton ascent on y = (x - median) / IQR from the moment start; the
+    estimate is mapped back to data units, so it moves with shifts and
+    rescalings of the data, and first- and second-order verification run
+    on x.  Points outside the feasible region (or with shape outside
+    (-1, 10]) score -inf and are never accepted.
     """
     x = _as_values(series)
     if x.size < 3:
         raise ValueError("need at least 3 observations to fit three parameters")
+    n_nan, n_inf = int(np.count_nonzero(np.isnan(x))), int(np.count_nonzero(np.isinf(x)))
+    if n_nan or n_inf:
+        raise ValueError(f"{n_nan} NaN and {n_inf} infinite values among {x.size} observations")
     if np.min(x) == np.max(x):
         raise ValueError("degenerate data: all observations equal")
 
-    start = options.init if options.init is not None else pwm_init(x)
-    start = _repair_feasibility(start, x)
+    q1, center, q3 = (float(q) for q in np.percentile(x, (25.0, 50.0, 75.0)))
+    scale = q3 - q1 if q3 > q1 else float(np.max(x) - np.min(x))
+    y = (x - center) / scale
+    init = options.init
+    start = pwm_init(y) if init is None else GevParams(
+        init.gamma, (init.mu - center) / scale, init.sigma / scale)
+    start = _repair_feasibility(start, y)
 
-    def objective(vec):
-        gamma, mu, sigma = vec
-        if not (GAMMA_FLOOR < gamma <= GAMMA_CAP) or not sigma > 0:
-            return math.inf
-        v = sample_loglik(GevParams(float(gamma), float(mu), float(sigma)), x)
-        return -v if math.isfinite(v) else math.inf
+    # d/dmu and d/dsigma in data units are 1/scale times those on y; the search
+    # stops a decade below grad_tol because the verdict's gradient on x rounds differently.
+    units = np.array([1.0, 1.0 / scale, 1.0 / scale])
+    best, iterations, stall = _newton_ascent(
+        start.as_array(), y, options.max_iters, units, 0.1 * options.grad_tol)
 
-    res = minimize(
-        objective,
-        start.as_array(),
-        method="Nelder-Mead",
-        options={
-            "maxiter": options.max_iters,
-            "xatol": 1e-8,
-            "fatol": 1e-12,
-            "adaptive": True,
-        },
-    )
-    best = res.x if math.isfinite(res.fun) else start.as_array()
-    iterations = int(res.nit)
-
-    best, polish_iters, stall = _newton_polish(best, x, options.grad_tol)
-    iterations += polish_iters
-
-    theta_hat = GevParams.from_array(best)
+    gamma, mu, sigma = (float(v) for v in best)
+    theta_hat = GevParams(gamma, center + scale * mu, scale * sigma)
+    margin = feasibility_margin(theta_hat, x)
+    if not margin > 0.0:
+        raise RuntimeError(f"fit ended outside the feasible region (margin {margin!r})")
     loglik = sample_loglik(theta_hat, x)
     grad_norm = float(np.linalg.norm(sample_loglik_gradient(theta_hat, x)))
 
@@ -262,7 +259,6 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     except (ValueError, np.linalg.LinAlgError):
         pass
 
-    margin = feasibility_margin(theta_hat, x)
     diagnostics = []
     if stall:
         diagnostics.append(stall)
@@ -270,8 +266,6 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
         diagnostics.append(f"feasibility boundary: min block margin {margin:.3e}")
     if theta_hat.gamma <= GAMMA_FLOOR + 1e-6:
         diagnostics.append("shape pinned at the lower admissible bound")
-    if res.nit >= options.max_iters:
-        diagnostics.append("simplex iteration limit reached")
     if grad_norm > options.grad_tol:
         diagnostics.append(f"gradient norm {grad_norm:.3e} above tolerance")
     if not hessian_negdef:
@@ -280,7 +274,7 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     boundary = margin <= 1e-6 or theta_hat.gamma <= GAMMA_FLOOR + 1e-6
     converged = (grad_norm <= options.grad_tol) and hessian_negdef and not boundary
 
-    result = FitResult(
+    return FitResult(
         theta_hat=theta_hat,
         loglik=loglik,
         grad_norm=grad_norm,
@@ -290,8 +284,6 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
         iterations=iterations,
         diagnostic="; ".join(diagnostics),
     )
-    assert is_feasible(theta_hat, x)
-    return result
 
 
 def numeric_hessian(theta: GevParams, series) -> np.ndarray:

@@ -114,6 +114,14 @@ class TestFit:
         assert run("fit", "--in", data, "--block-size", 2) == 2
         assert "at least 3" in capsys.readouterr().err
 
+    def test_nan_value_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("1.0\n2.5\nnan\n0.3\n4.0\n")
+        assert run("fit", "--in", data, "--block-size", 1) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "1 NaN and 0 infinite values among 5 observations" in err[0]
+
     def test_missing_file(self, tmp_path):
         assert run("fit", "--in", tmp_path / "nope.txt", "--block-size", 2) == 2
 

@@ -85,6 +85,14 @@ class TestTailQuantile:
             ratio = cauchy().tail_quantile(t) / (t / math.pi)
             assert ratio == pytest.approx(1.0, abs=1e-3)
 
+    def test_cauchy_far_lower_tail(self):
+        # F^-1(u) = -1/tan(pi*u) ~ -1/(pi*u) for small u, to ~(pi*u)^2/3
+        q = cauchy().quantile
+        for u in (1e-20, 1e-17, 1e-10):
+            assert float(q(u)) == pytest.approx(-1.0 / (math.pi * u), rel=1e-12)
+        u = np.array([0.5 - 1e-9, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-9])
+        assert np.all(np.diff(q(u)) > 0)
+
 
 class TestSampling:
     def test_pareto_support(self):

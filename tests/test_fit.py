@@ -5,6 +5,7 @@ import pytest
 
 from blockmax import (
     FitOptions,
+    FitResult,
     GevParams,
     block_maxima,
     feasibility_margin,
@@ -22,7 +23,10 @@ from blockmax import (
     sample_loglik,
     sample_loglik_gradient,
 )
+from blockmax import fit as fit_module
 from blockmax.fit import _repair_feasibility
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestSampleLoglik:
@@ -95,21 +99,31 @@ class TestFitMle:
         assert res.grad_norm <= 1e-8
         assert res.hessian_negdef
 
+    def test_few_loglik_evaluations(self, monkeypatch):
+        data = gev_sample(GevParams(0.5, 10.0, 2.0), 10_000, seed=61)
+        calls = []
+        evaluate = fit_module.sample_loglik
+
+        def counted(theta, series):
+            calls.append(1)
+            return evaluate(theta, series)
+
+        monkeypatch.setattr(fit_module, "sample_loglik", counted)
+        fit_mle(data)
+        assert len(calls) < 200
+
     def test_affine_equivariance(self):
-        data = gev_sample(GevParams(0.3, 1.0, 1.5), 3_000, seed=62)
-        base = fit_mle(data)
-        rng = np.random.default_rng(63)
-        for _ in range(5):
-            a = rng.uniform(0.2, 5.0)
-            b = rng.uniform(-10.0, 10.0)
-            moved = fit_mle(a * data + b)
-            assert moved.theta_hat.gamma == pytest.approx(base.theta_hat.gamma, abs=1e-6)
-            assert moved.theta_hat.mu == pytest.approx(
-                a * base.theta_hat.mu + b, rel=1e-6, abs=1e-6,
-            )
-            assert moved.theta_hat.sigma == pytest.approx(
-                a * base.theta_hat.sigma, rel=1e-6, abs=1e-6,
-            )
+        # Gumbel and GEV(0.3) data; `converged` is not asserted because
+        # grad_tol is absolute, so the verdict is not unit-free
+        for gamma in (0.0, 0.3):
+            data = gev_sample(GevParams(gamma, 1.0, 1.5), 3_000, seed=62)
+            base = fit_mle(data)
+            for a, b in ((1e-6, 0.0), (1e6, 0.0), (1.0, 1e8), (1e3, -1e8),
+                         (1e-3, 1e3), (1e6, 1e8), (0.37, -3.1)):
+                moved = fit_mle(a * data + b).theta_hat
+                assert moved.gamma == pytest.approx(base.theta_hat.gamma, abs=1e-6)
+                assert (moved.mu - b) / a == pytest.approx(base.theta_hat.mu, rel=1e-6)
+                assert moved.sigma / a == pytest.approx(base.theta_hat.sigma, rel=1e-6)
 
     def test_uniform_maxima_stay_above_minus_one(self):
         # data whose true index is -1: the estimate must stay inside the
@@ -131,6 +145,13 @@ class TestFitMle:
         with pytest.raises(ValueError):
             fit_mle([1.0, 2.0])
 
+    def test_non_finite_data_counted(self):
+        data = gev_sample(GevParams(0.5, 0.0, 1.0), 50, seed=69)
+        data[[3, 17]] = np.nan
+        data[40] = -np.inf
+        with pytest.raises(ValueError, match="2 NaN and 1 infinite values among 50"):
+            fit_mle(data)
+
     def test_iteration_cap_returns_nonconverged(self):
         data = gev_sample(GevParams(0.5, 0.0, 1.0), 2_000, seed=66)
         res = fit_mle(data, FitOptions(max_iters=3))
@@ -149,6 +170,12 @@ class TestFitMle:
         repaired = _repair_feasibility(bad, data)
         assert is_feasible(repaired, data)
         assert math.isfinite(sample_loglik(repaired, data))
+
+
+def test_fit_result_rejects_shape_at_minus_one():
+    with pytest.raises(ValueError, match="> -1"):
+        FitResult(GevParams(-1.0, 0.0, 1.0), loglik=0.0, grad_norm=0.0,
+                  hessian_negdef=True, n_blocks=10, converged=False, iterations=0)
 
 
 @pytest.fixture(scope="module")
