@@ -52,11 +52,23 @@ class EmpiricalMeasure:
         return len(self.points)
 
 
+def check_finite(values: np.ndarray, where: str = "") -> None:
+    """Refuse NaN and infinite values with a count of each; errors start with ``where``."""
+    if not np.all(np.isfinite(values)):
+        n_nan = int(np.count_nonzero(np.isnan(values)))
+        n_inf = int(np.count_nonzero(np.isinf(values)))
+        prefix = f"{where}: " if where else ""
+        raise ValueError(
+            f"{prefix}{n_nan} NaN and {n_inf} infinite values among {values.size} observations"
+        )
+
+
 def block_maxima(data, m: int) -> BlockMaximaSeries:
     """Split ``data`` into blocks of length m and take each block's max."""
     data = np.asarray(data, dtype=float)
     if m < 1:
         raise ValueError("block length m must be >= 1")
+    check_finite(data)
     n_blocks = data.size // m
     if n_blocks == 0:
         raise ValueError(f"data length {data.size} is shorter than one block of length {m}")
@@ -111,7 +123,7 @@ def empirical_mean_loglik(measure: EmpiricalMeasure, params: GevParams) -> float
 
 
 def read_values(path) -> np.ndarray:
-    """Read one float per line; '#' comments and blank lines are skipped."""
+    """Read one finite float per line; '#' comments and blank lines are skipped."""
     values = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -122,7 +134,9 @@ def read_values(path) -> np.ndarray:
                 values.append(float(text))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: cannot parse '{text}' as a number") from exc
-    return np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
+    check_finite(values, str(path))
+    return values
 
 
 def write_values(path, values, header_lines=()) -> None:

@@ -20,10 +20,15 @@ from .distributions import from_spec, sample_iid
 from .fit import fit_mle
 from .gev import GevParams
 from .lab import (
+    CrucialLemmaRow,
+    ObstructionRow,
     StudyReport,
+    StudyRow,
     check_crucial_lemma,
     check_slow_growth_obstruction,
+    csv_lines,
     parse_study_config,
+    read_csv,
     run_consistency_study,
     validate_study_config,
 )
@@ -121,34 +126,24 @@ def cmd_study(args, command_line: str) -> int:
     })
     header = [f"# {line}" for line in meta]
 
+    def write(name: str, lines: list[str]) -> None:
+        (out_dir / name).write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+
     if "consistency" in config.checks:
         report = run_consistency_study(
             dist, config.n_grid, config.growth, config.replications, config.seed,
         )
-        (out_dir / "report.csv").write_text(
-            "\n".join(header + report.csv_lines()) + "\n", encoding="utf-8",
-        )
-        (out_dir / "summary.txt").write_text(
-            "\n".join(header + _summary_lines(report)) + "\n", encoding="utf-8",
-        )
+        write("report.csv", report.csv_lines())
+        write("summary.txt", _summary_lines(report))
     if "crucial_lemma" in config.checks:
-        rows = check_crucial_lemma(
+        write("crucial_lemma.csv", csv_lines(CrucialLemmaRow, check_crucial_lemma(
             dist, config.n_grid, config.growth, config.replications, config.seed,
-        )
-        lines = header + ["n,m,median_gap,n_infeasible"]
-        lines += [f"{r.n},{r.m},{r.median_gap!r},{r.n_infeasible}" for r in rows]
-        (out_dir / "crucial_lemma.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        )))
     if "obstruction" in config.checks:
-        rows = check_slow_growth_obstruction(
+        write("obstruction.csv", csv_lines(ObstructionRow, check_slow_growth_obstruction(
             dist, config.n_grid, config.slow_growth, config.growth,
             config.replications, config.seed,
-        )
-        lines = header + ["n,m_slow,median_min_slow,m_fast,median_min_fast"]
-        lines += [
-            f"{r.n},{r.m_slow},{r.median_min_slow!r},{r.m_fast},{r.median_min_fast!r}"
-            for r in rows
-        ]
-        (out_dir / "obstruction.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        )))
     return 0
 
 
@@ -173,42 +168,12 @@ def _summary_lines(report: StudyReport) -> list[str]:
 
 def _read_study_csv(path):
     """Parse a study report CSV; returns (gamma0, rows as dict of arrays)."""
-    gamma0 = None
-    header = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text.lstrip("# ").strip()
-                if body.lower().startswith("gamma0:"):
-                    gamma0 = float(body.split(":", 1)[1])
-                continue
-            if header is None:
-                header = text
-                if header != StudyReport.CSV_HEADER:
-                    raise ValueError(
-                        f"{path}: unexpected CSV header '{header}'; "
-                        f"expected '{StudyReport.CSV_HEADER}'"
-                    )
-                continue
-            fields = text.split(",")
-            if len(fields) != 9:
-                raise ValueError(f"{path}: malformed row '{text}'")
-            rows.append(fields)
-    if header is None or not rows:
-        raise ValueError(f"{path}: no study rows found")
-    if gamma0 is None:
+    meta, rows = read_csv(path, StudyRow)
+    if "gamma0" not in meta:
         raise ValueError(f"{path}: missing '# gamma0:' metadata needed for error statistics")
-    data = {
-        "n": np.array([int(r[0]) for r in rows]),
-        "gamma_hat": np.array([float(r[3]) for r in rows]),
-        "mu_err": np.array([float(r[4]) for r in rows]),
-        "sigma_ratio": np.array([float(r[5]) for r in rows]),
-    }
-    return gamma0, data
+    data = {key: np.array([getattr(r, key) for r in rows])
+            for key in ("n", "gamma_hat", "mu_err", "sigma_ratio")}
+    return float(meta["gamma0"]), data
 
 
 def _box_stats(values: np.ndarray) -> tuple[float, float, float, float, float]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gev import GAMMA_TINY, gev_cdf, gev_quantile, gev_upper_quantile
 
@@ -38,10 +37,9 @@ class ReferenceDistribution:
     ``quantile`` is the generalized inverse of F on (0,1).
     ``upper_quantile(p)`` is quantile(1 - p) evaluated without forming
     1 - p; it is optional, but exact block-maximum draws need it.  ``cdf``
-    is optional and only used by convergence diagnostics.  For members with
-    gamma0 == 0, either ``tail_quantile_integral`` (closed form of
-    \\int_0^t U(s) ds) or an integrable tail quantile near 0 is required;
-    ``scale_override`` short-circuits the scale-function formula entirely.
+    is optional and only used by convergence diagnostics.  Members with
+    gamma0 == 0 must supply ``gumbel_scale``, the scale function a(m) in
+    closed form; other members derive a(m) from U(m).
     """
 
     name: str
@@ -51,8 +49,7 @@ class ReferenceDistribution:
     left_endpoint: float
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     upper_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    tail_quantile_integral: Optional[Callable[[float], float]] = None
-    scale_override: Optional[Callable[[float], float]] = None
+    gumbel_scale: Optional[Callable[[float], float]] = None
     spec: str = ""
 
     def tail_quantile(self, t) -> float | np.ndarray:
@@ -67,8 +64,8 @@ def norm_constants(dist: ReferenceDistribution, m: int) -> NormalizingConstants:
     """Exact normalization (a_m, b_m) = (a(m), U(m)) for block length m.
 
     The scale function follows the usual three-way case split on the sign
-    of the index; members may supply a closed-form override when the
-    generic formula is unavailable (e.g. the integral does not converge).
+    of the index: gamma0 * U(m) above 0, -gamma0 * (x* - U(m)) below 0,
+    and the member's closed-form ``gumbel_scale`` at 0.
     """
     if m < 1:
         raise ValueError("block length m must be >= 1")
@@ -76,22 +73,10 @@ def norm_constants(dist: ReferenceDistribution, m: int) -> NormalizingConstants:
     if not math.isfinite(b_m):
         raise ValueError(f"U({m}) is not finite for member '{dist.name}'")
     g = dist.gamma0
-    if dist.scale_override is not None:
-        a_m = float(dist.scale_override(m))
-    elif abs(g) < GAMMA_TINY:
-        if dist.tail_quantile_integral is not None:
-            integral = float(dist.tail_quantile_integral(m))
-        else:
-            integral, err = quad(
-                lambda s: dist.quantile(1.0 - 1.0 / s), 0.0, float(m),
-                points=[1.0] if m > 1 else None, limit=200, epsabs=1e-10,
-            )
-            if not math.isfinite(integral) or err > 1e-6 * max(1.0, abs(integral)):
-                raise ValueError(
-                    f"tail quantile of '{dist.name}' is not reliably integrable near 0; "
-                    "provide tail_quantile_integral in closed form"
-                )
-        a_m = b_m - integral / m
+    if abs(g) < GAMMA_TINY:
+        if dist.gumbel_scale is None:
+            raise ValueError(f"member '{dist.name}' has index 0 but no closed-form gumbel_scale")
+        a_m = float(dist.gumbel_scale(m))
     elif g > 0:
         a_m = g * b_m
     else:
@@ -161,7 +146,7 @@ def pareto(alpha: float = 1.0) -> ReferenceDistribution:
 
 
 def exponential() -> ReferenceDistribution:
-    """Standard exponential; index 0, U(t) = log t."""
+    """Standard exponential; index 0, U(t) = log t, a(m) = U(m) - int_0^m U / m = 1."""
     return ReferenceDistribution(
         name="exponential",
         gamma0=0.0,
@@ -171,7 +156,7 @@ def exponential() -> ReferenceDistribution:
                                -np.expm1(-np.asarray(x, dtype=float)), 0.0),
         right_endpoint=math.inf,
         left_endpoint=0.0,
-        tail_quantile_integral=lambda t: t * math.log(t) - t,
+        gumbel_scale=lambda m: 1.0,
         spec="exponential",
     )
 
@@ -221,18 +206,15 @@ def gev_reference(gamma: float) -> ReferenceDistribution:
     """Exact standardized GEV member: block maxima stay exactly GEV.
 
     For gamma == 0 the scale function is the constant 1 (an admissible
-    closed-form choice for the Gumbel; the generic integral formula does
-    not apply because U is unbounded below near the origin).
+    closed-form choice for the Gumbel; the integral formula does not
+    apply because U is unbounded below near the origin).
     """
     if abs(gamma) < GAMMA_TINY:
         lo, hi = -math.inf, math.inf
-        override = lambda t: 1.0  # noqa: E731
     elif gamma > 0:
         lo, hi = -1.0 / gamma, math.inf
-        override = None
     else:
         lo, hi = -math.inf, -1.0 / gamma
-        override = None
     return ReferenceDistribution(
         name=f"gev(gamma={gamma:g})",
         gamma0=float(gamma),
@@ -241,7 +223,7 @@ def gev_reference(gamma: float) -> ReferenceDistribution:
         cdf=lambda x: gev_cdf(gamma, x),
         right_endpoint=hi,
         left_endpoint=lo,
-        scale_override=override,
+        gumbel_scale=(lambda m: 1.0) if abs(gamma) < GAMMA_TINY else None,
         spec=f"gev:gamma={gamma:g}",
     )
 
@@ -267,6 +249,30 @@ _FAMILIES = {
 }
 
 
+def parse_key_values(parts, types: dict, where: str, into: Optional[dict] = None) -> dict:
+    """Parse ``key=value`` parts into ``into`` (a new dict by default).
+
+    Each non-blank part must name a key of ``types`` not seen before, and
+    its value is converted by ``types[key]``.  Errors name ``where``.
+    """
+    out = {} if into is None else into
+    for part in parts:
+        if not part.strip():
+            continue
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq or key not in types:
+            raise ValueError(f"bad parameter '{part.strip()}' in {where}; "
+                             f"known keys: {', '.join(types) or 'none'}")
+        if key in out:
+            raise ValueError(f"repeated key '{key}' in {where}")
+        try:
+            out[key] = types[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"bad value for '{key}' in {where}: {exc}") from exc
+    return out
+
+
 def from_spec(spec: str) -> ReferenceDistribution:
     """Build a member from a spec string like ``pareto:alpha=2``.
 
@@ -285,20 +291,10 @@ def from_spec(spec: str) -> ReferenceDistribution:
     if name not in _FAMILIES:
         raise ValueError(f"unknown distribution spec '{spec}'; "
                          f"known families: {', '.join(sorted(_FAMILIES))}, e.g. pareto:alpha=1")
-    builder, sig = _FAMILIES[name]
-    kwargs = {}
-    if argstr.strip():
-        for part in argstr.split(","):
-            key, eq, value = part.partition("=")
-            key = key.strip()
-            if not eq or key not in sig:
-                raise ValueError(f"bad parameter '{part.strip()}' in spec '{spec}'")
-            try:
-                kwargs[key] = sig[key](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"bad value for '{key}' in spec '{spec}'") from exc
+    make_member, types = _FAMILIES[name]
+    kwargs = parse_key_values(argstr.split(","), types, f"spec '{spec}'")
     try:
-        return builder(**kwargs)
+        return make_member(**kwargs)
     except TypeError as exc:
         raise ValueError(f"missing parameter in spec '{spec}'") from exc
 

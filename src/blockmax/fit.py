@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize  # noqa: F401  benchmarks/tracing.py wraps this binding
 from scipy.special import gamma as gamma_func
 
-from .blocks import BlockMaximaSeries
+from .blocks import BlockMaximaSeries, check_finite
 from .gev import (
     EULER_GAMMA,
     GAMMA_TINY,
@@ -223,9 +223,7 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     x = _as_values(series)
     if x.size < 3:
         raise ValueError("need at least 3 observations to fit three parameters")
-    n_nan, n_inf = int(np.count_nonzero(np.isnan(x))), int(np.count_nonzero(np.isinf(x)))
-    if n_nan or n_inf:
-        raise ValueError(f"{n_nan} NaN and {n_inf} infinite values among {x.size} observations")
+    check_finite(x)
     if np.min(x) == np.max(x):
         raise ValueError("degenerate data: all observations equal")
 

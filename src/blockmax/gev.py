@@ -49,10 +49,6 @@ class SupportInterval:
     lower: float
     upper: float
 
-    def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x > self.lower) & (x < self.upper)
-
 
 def support_interval(gamma: float) -> SupportInterval:
     """Support of the standardized GEV with shape ``gamma``."""

@@ -8,6 +8,7 @@ per-(cell, replication) spawn keys, so reports are byte-reproducible.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -23,7 +24,8 @@ from .blocks import (
     ks_distance,
     normalize,
 )
-from .distributions import NormalizingConstants, ReferenceDistribution, norm_constants, sample_iid
+from .distributions import (NormalizingConstants, ReferenceDistribution, from_spec,
+                            norm_constants, parse_key_values, sample_iid)
 from .fit import FitOptions, fit_mle
 from .gev import EULER_GAMMA, GevParams
 
@@ -37,6 +39,7 @@ class GrowthRule:
     kinds: ``poly_log`` m(n)=ceil(c*(log n)^a), ``power`` m(n)=ceil(n^a),
     ``fixed`` m(n)=c, ``slow`` m(n)=ceil(c*log(log n))+offset.  Only
     poly_log with a>1 and power with 0<a<1 grow faster than log n.
+    ``PARAMS`` lists the parameters each kind reads, in spec order.
     """
 
     kind: str
@@ -44,10 +47,11 @@ class GrowthRule:
     a: float = 2.0
     offset: int = 0
 
-    KINDS = ("poly_log", "power", "fixed", "slow")
+    PARAMS = {"poly_log": {"c": float, "a": float}, "power": {"a": float},
+              "fixed": {"c": float}, "slow": {"c": float, "offset": int}}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in self.PARAMS:
             raise ValueError(f"unknown growth kind '{self.kind}'")
 
     def block_length(self, n: int) -> int:
@@ -73,27 +77,18 @@ class GrowthRule:
         return False
 
     def describe(self) -> str:
-        if self.kind == "poly_log":
-            return f"poly_log:c={self.c:g},a={self.a:g}"
-        if self.kind == "power":
-            return f"power:a={self.a:g}"
-        if self.kind == "fixed":
-            return f"fixed:c={self.c:g}"
-        return f"slow:c={self.c:g},offset={self.offset}"
+        params = ",".join(f"{key}={getattr(self, key):g}" for key in self.PARAMS[self.kind])
+        return f"{self.kind}:{params}"
 
     @staticmethod
     def from_spec(spec: str) -> "GrowthRule":
-        name, _, argstr = spec.strip().partition(":")
-        name = name.strip().lower()
-        kwargs = {}
-        if argstr.strip():
-            for part in argstr.split(","):
-                key, eq, value = part.partition("=")
-                key = key.strip()
-                if not eq or key not in ("c", "a", "offset"):
-                    raise ValueError(f"bad growth parameter '{part.strip()}' in '{spec}'")
-                kwargs[key] = int(value) if key == "offset" else float(value)
-        return GrowthRule(kind=name, **kwargs)
+        kind, _, argstr = spec.strip().partition(":")
+        kind = kind.strip().lower()
+        if kind not in GrowthRule.PARAMS:
+            raise ValueError(f"unknown growth kind '{kind}' in '{spec}'")
+        params = parse_key_values(argstr.split(","), GrowthRule.PARAMS[kind],
+                                  f"growth spec '{spec}'")
+        return GrowthRule(kind, **params)
 
 
 def poly_log_growth(c: float = 1.0, a: float = 2.0) -> GrowthRule:
@@ -119,6 +114,58 @@ class StudyRow:
     mean_ll_truth: float
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got '{text}'")
+    return text == "true"
+
+
+_CSV_FORMAT = {"bool": lambda value: "true" if value else "false"}
+_CSV_PARSE = {"int": int, "float": float, "bool": _parse_bool}
+
+
+def csv_lines(row_type, rows) -> list[str]:
+    """The field names of ``row_type`` as a header, then one line per row.
+
+    Bools are written as true/false and every other value by repr, which
+    round-trips ints and floats.
+    """
+    fields = dataclasses.fields(row_type)
+    lines = [",".join(f.name for f in fields)]
+    for row in rows:
+        lines.append(",".join(_CSV_FORMAT.get(f.type, repr)(getattr(row, f.name))
+                              for f in fields))
+    return lines
+
+
+def read_csv(path, row_type) -> tuple[dict[str, str], list]:
+    """Inverse of ``csv_lines``; returns the '# key: value' metadata and the rows."""
+    fields = dataclasses.fields(row_type)
+    header = csv_lines(row_type, [])[0]
+    meta: dict[str, str] = {}
+    lines = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for text in (line.strip() for line in handle):
+            if text.startswith("#"):
+                key, colon, value = text.lstrip("# ").partition(":")
+                if colon:
+                    meta[key.strip().lower()] = value.strip()
+            elif text:
+                lines.append(text)
+    if lines[:1] != [header]:
+        raise ValueError(f"{path}: unexpected CSV header {lines[:1]}; expected '{header}'")
+    rows = []
+    for text in lines[1:]:
+        try:
+            rows.append(row_type(*(_CSV_PARSE[f.type](cell) for f, cell
+                                   in zip(fields, text.split(","), strict=True))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row '{text}': {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: no {row_type.__name__} rows found")
+    return meta, rows
+
+
 @dataclass(frozen=True)
 class StudySummary:
     n: int
@@ -140,16 +187,8 @@ class StudyReport:
     rows: list[StudyRow]
     summary: list[StudySummary]
 
-    CSV_HEADER = "n,m,rep,gamma_hat,mu_err,sigma_ratio,converged,ks,mean_ll_truth"
-
     def csv_lines(self) -> list[str]:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.m},{r.rep},{r.gamma_hat!r},{r.mu_err!r},{r.sigma_ratio!r},"
-                f"{'true' if r.converged else 'false'},{r.ks!r},{r.mean_ll_truth!r}"
-            )
-        return lines
+        return csv_lines(StudyRow, self.rows)
 
 
 def _cell_maxima(
@@ -373,12 +412,9 @@ KNOWN_CHECKS = ("consistency", "crucial_lemma", "obstruction")
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Parsed key=value study configuration.
+    """Parsed key=value study configuration, as read by ``parse_study_config``.
 
-    Keys: ``dist`` (member spec), ``n_grid`` (comma-separated ints),
-    ``growth`` (rule spec), ``replications``, ``seed``, optional
-    ``checks`` (comma list from consistency, crucial_lemma, obstruction)
-    and ``slow_growth`` (rule spec used by the obstruction check).
+    ``checks`` and ``slow_growth`` (used by the obstruction check) are optional.
     """
 
     dist_spec: str
@@ -390,40 +426,34 @@ class StudyConfig:
     slow_growth: Optional[GrowthRule] = None
 
 
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+_CONFIG_KEYS = {
+    "dist": str,
+    "n_grid": lambda text: tuple(int(tok) for tok in _comma_list(text)),
+    "growth": GrowthRule.from_spec,
+    "replications": int,
+    "seed": int,
+    "checks": _comma_list,
+    "slow_growth": GrowthRule.from_spec,
+}
+
+
 def parse_study_config(path) -> StudyConfig:
-    """Read a key=value config file ('#' comments and blank lines skipped)."""
-    raw: dict[str, str] = {}
+    """Read a key=value config file ('#' comments and blank lines skipped).
+
+    Every line sets one key of ``_CONFIG_KEYS`` once; errors name path:line.
+    """
+    raw: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            key, eq, value = text.partition("=")
-            if not eq:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got '{text}'")
-            raw[key.strip().lower()] = value.strip()
+            parse_key_values([line.split("#", 1)[0]], _CONFIG_KEYS, f"{path}:{lineno}", raw)
     missing = [k for k in ("dist", "n_grid", "growth", "replications", "seed") if k not in raw]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-    try:
-        n_grid = tuple(int(tok) for tok in raw["n_grid"].split(",") if tok.strip())
-        replications = int(raw["replications"])
-        seed = int(raw["seed"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    checks = tuple(
-        tok.strip() for tok in raw.get("checks", "consistency").split(",") if tok.strip()
-    )
-    slow = GrowthRule.from_spec(raw["slow_growth"]) if "slow_growth" in raw else None
-    return StudyConfig(
-        dist_spec=raw["dist"],
-        n_grid=n_grid,
-        growth=GrowthRule.from_spec(raw["growth"]),
-        replications=replications,
-        seed=seed,
-        checks=checks,
-        slow_growth=slow,
-    )
+    return StudyConfig(dist_spec=raw.pop("dist"), **raw)
 
 
 def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
@@ -432,8 +462,6 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
     Raises ValueError listing every violation (budget included) so a bad
     file is diagnosed in one pass.
     """
-    from .distributions import from_spec  # local import keeps module load cheap
-
     problems = []
     dist = None
     try:

@@ -42,6 +42,10 @@ class TestBlockMaxima:
         with pytest.raises(ValueError):
             block_maxima([1.0, 2.0], 3)
 
+    def test_non_finite_data_refused(self):
+        with pytest.raises(ValueError, match="1 NaN and 1 infinite values among 6 observations"):
+            block_maxima([1.0, np.nan, 2.0, 3.0, np.inf, 4.0], 2)
+
     def test_permutation_within_blocks_invariant(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=60)
@@ -202,4 +206,10 @@ class TestDataFiles:
         path = tmp_path / "values.txt"
         path.write_text("1.0\nnot-a-number\n")
         with pytest.raises(ValueError, match="not-a-number"):
+            read_values(path)
+
+    def test_non_finite_values_refused(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("1.0\nnan\ninf\n-inf\n2.0\n")
+        with pytest.raises(ValueError, match="1 NaN and 2 infinite values among 5 observations"):
             read_values(path)

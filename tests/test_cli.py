@@ -73,6 +73,16 @@ class TestBlocks:
         maxima = read_values(blk)
         np.testing.assert_array_equal(maxima, data.reshape(10, 10).max(axis=1))
 
+    def test_non_finite_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("1.0\nnan\n2.0\ninf\n")
+        blk = tmp_path / "blk.txt"
+        assert run("blocks", "--in", data, "--block-size", 2, "--out", blk) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "1 NaN and 1 infinite values among 4 observations" in err[0]
+        assert not blk.exists()
+
 
 class TestFit:
     def test_pareto_block_fit(self, tmp_path, capsys):
@@ -144,6 +154,16 @@ class TestGof:
         ks_wrong = float(capsys.readouterr().out.splitlines()[-1].split("=")[1])
         assert ks_right < 0.02
         assert ks_wrong > ks_right
+
+    def test_non_finite_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("0.5\nnan\n-inf\n")
+        assert run("gof", "--in", data, "--gamma", 0.0) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "1 NaN and 1 infinite values among 3 observations" in err[0]
 
 
 class TestStudy:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import kstest, ks_2samp
 
 from blockmax import (
@@ -39,14 +40,20 @@ class TestNormConstants:
         assert c.a_m == pytest.approx(0.05, rel=1e-12)
         assert c.b_m == pytest.approx(0.9, rel=1e-12)
 
-    def test_exponential_quadrature_fallback_agrees_with_closed_form(self):
+    def test_exponential_scale_matches_integral_definition(self):
+        # a(m) = U(m) - (1/m) int_0^m U(s) ds, integrated numerically here
         member = exponential()
-        fallback = member.__class__(**{**member.__dict__, "tail_quantile_integral": None})
         for m in (10, 1000):
             exact = norm_constants(member, m)
-            quad_based = norm_constants(fallback, m)
-            assert quad_based.a_m == pytest.approx(exact.a_m, abs=1e-8)
-            assert quad_based.b_m == exact.b_m
+            integral, _ = quad(lambda s: member.quantile(1.0 - 1.0 / s), 0.0, float(m),
+                               points=[1.0], limit=200, epsabs=1e-10)
+            assert exact.a_m == 1.0
+            assert exact.b_m - integral / m == pytest.approx(exact.a_m, abs=1e-8)
+
+    def test_index_zero_member_needs_gumbel_scale(self):
+        bare = dataclasses.replace(exponential(), gumbel_scale=None)
+        with pytest.raises(ValueError, match="'exponential'.*gumbel_scale"):
+            norm_constants(bare, 10)
 
     def test_gumbel_member_has_admissible_scale(self):
         # the exact Gumbel member uses the closed-form scale 1
@@ -226,6 +233,12 @@ class TestFromSpec:
         for bad in ("nope", "pareto:beta=1", "pareto:alpha=abc", "gev"):
             with pytest.raises(ValueError):
                 from_spec(bad)
+
+    def test_bad_value_and_repeated_key_name_the_spec(self):
+        with pytest.raises(ValueError, match="'alpha'.*'pareto:alpha=abc'"):
+            from_spec("pareto:alpha=abc")
+        with pytest.raises(ValueError, match="repeated key 'alpha'"):
+            from_spec("pareto:alpha=1,alpha=2")
 
 
 class TestNormalizingEquivalence:

@@ -26,8 +26,6 @@ from blockmax import (
 from blockmax import fit as fit_module
 from blockmax.fit import _repair_feasibility
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestSampleLoglik:
     def test_single_observation(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from blockmax import (
     slow_growth,
     validate_study_config,
 )
+from blockmax.lab import CrucialLemmaRow, ObstructionRow, StudyRow, csv_lines, read_csv
 
 EULER = 0.5772156649015329
 
@@ -58,6 +60,16 @@ class TestGrowthRules:
             assert GrowthRule.from_spec(rule.describe()) == rule
         with pytest.raises(ValueError):
             GrowthRule.from_spec("warp:q=1")
+
+    def test_parameter_outside_kind_rejected(self):
+        # fixed reads only c and power only a; neither may be set silently
+        for bad in ("fixed:a=5", "power:c=5", "slow:a=3"):
+            with pytest.raises(ValueError, match="bad parameter"):
+                GrowthRule.from_spec(bad)
+
+    def test_bad_value_names_spec(self):
+        with pytest.raises(ValueError, match="'power:a=abc'"):
+            GrowthRule.from_spec("power:a=abc")
 
 
 class TestExpectedLoglik:
@@ -370,3 +382,64 @@ checks = obstruction
 """)
         with pytest.raises(ValueError, match="obstruction"):
             validate_study_config(parse_study_config(path))
+
+    def test_unknown_key_names_line(self, tmp_path):
+        path = self.write(tmp_path, """dist = cauchy
+n_grid = 1000
+growth = poly_log:c=1,a=2
+replications = 2
+seed = 5
+check = obstruction
+""")
+        with pytest.raises(ValueError, match=re.escape(f"'check = obstruction' in {path}:6")):
+            parse_study_config(path)
+
+    def test_repeated_key_names_line(self, tmp_path):
+        path = self.write(tmp_path, """dist = cauchy
+n_grid = 1000
+growth = poly_log:c=1,a=2
+replications = 2
+seed = 5
+seed = 6
+""")
+        with pytest.raises(ValueError, match=re.escape(f"repeated key 'seed' in {path}:6")):
+            parse_study_config(path)
+
+
+class TestCsvRows:
+    ROWS = [
+        (StudyRow, [StudyRow(100, 22, 0, 0.97, -0.0125, 1.03125, True, 0.0625, -2.15),
+                    StudyRow(100, 22, 1, 1.2e-17, 3e300, 0.1, False, 1.0, -math.inf)]),
+        (CrucialLemmaRow, [CrucialLemmaRow(100, 22, 0.015625, 0),
+                           CrucialLemmaRow(400, 36, math.inf, 7)]),
+        (ObstructionRow, [ObstructionRow(1000, 3, -7.07, 48, -0.5)]),
+    ]
+
+    @pytest.mark.parametrize("row_type,rows", ROWS, ids=[t.__name__ for t, _ in ROWS])
+    def test_round_trip(self, tmp_path, row_type, rows):
+        path = tmp_path / "rows.csv"
+        lines = ["# blockmax v0", "# gamma0: 0.5"] + csv_lines(row_type, rows)
+        path.write_text("\n".join(lines) + "\n")
+        meta, back = read_csv(path, row_type)
+        assert back == rows
+        assert [type(v) for v in vars(back[-1]).values()] == \
+            [type(v) for v in vars(rows[-1]).values()]
+        assert meta["gamma0"] == "0.5"
+        assert csv_lines(row_type, back) == csv_lines(row_type, rows)
+
+    def test_header_is_field_names(self):
+        assert csv_lines(CrucialLemmaRow, [])[0] == "n,m,median_gap,n_infeasible"
+        assert csv_lines(StudyRow, [StudyRow(3, 1, 0, 0.5, 0.0, 1.0, False, 0.25, -1.0)])[1] \
+            == "3,1,0,0.5,0.0,1.0,false,0.25,-1.0"
+
+    @pytest.mark.parametrize("row,problem", [
+        ("3,1,0,0.5,0.0,1.0,yes,0.25,-1.0", "true or false"),
+        ("3,1,0,0.5,0.0,1.0,true,0.25", "shorter"),
+        ("3,1,0,0.5,0.0,1.0,true,0.25,-1.0,7", "longer"),
+        ("3,1,0,half,0.0,1.0,true,0.25,-1.0", "half"),
+    ])
+    def test_malformed_row_names_file(self, tmp_path, row, problem):
+        path = tmp_path / "rows.csv"
+        path.write_text(csv_lines(StudyRow, [])[0] + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"rows.csv: malformed row .*{problem}"):
+            read_csv(path, StudyRow)
