@@ -8,6 +8,7 @@ from .gev import (
     gev_cdf,
     gev_loglik,
     gev_loglik3,
+    gev_loglik_grad_hess,
     gev_loglik_gradient,
     gev_loglik_max,
     gev_mode,

@@ -24,6 +24,7 @@ from .gev import (
     GAMMA_TINY,
     GevParams,
     gev_loglik3,
+    gev_loglik_grad_hess,
     gev_loglik_gradient,
     gev_quantile,
     params_support,
@@ -46,7 +47,7 @@ class FitOptions:
             raise ValueError("grad_tol must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     """Outcome of a local-maximum search.
 
@@ -163,24 +164,28 @@ def pwm_init(series) -> GevParams:
 def _newton_ascent(theta_vec, y, max_iters, grad_weights, grad_stop):
     """Saddle-free Newton ascent on the mean log-likelihood of ``y`` with
     feasibility backtracking, until |grad_weights * gradient| <= grad_stop.
+    Each accepted point gets one closed-form gradient and Hessian.
     Returns (theta_vec, n_iterations, stall_reason)."""
 
     def value(vec):
         return sample_loglik(GevParams.from_array(vec), y)
 
+    def derivatives(vec):
+        return gev_loglik_grad_hess(GevParams.from_array(vec), y)
+
     current = value(theta_vec)
-    g = sample_loglik_gradient(GevParams.from_array(theta_vec), y)
+    g, hess = derivatives(theta_vec)
     for it in range(max_iters):
         g_norm = np.linalg.norm(g)
-        if np.linalg.norm(grad_weights * g) <= grad_stop:
+        if math.hypot(*(grad_weights * g)) <= grad_stop:
             return theta_vec, it, ""
         # Newton step on |H| (eigenvalue magnitudes, floored), so it ascends
-        # even away from a maximum; the gradient where H raises or is not finite.
+        # even away from a maximum; the gradient where H is not finite.
         try:
-            lam, vecs = np.linalg.eigh(numeric_hessian(GevParams.from_array(theta_vec), y))
+            lam, vecs = np.linalg.eigh(hess)
             mag = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
             step = vecs @ ((vecs.T @ g) / mag)
-        except (ValueError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             step = g
         if not np.all(np.isfinite(step)):
             step = g
@@ -198,12 +203,13 @@ def _newton_ascent(theta_vec, y, max_iters, grad_weights, grad_stop):
                 if math.isfinite(cand_val):
                     if cand_val > current:
                         theta_vec, current = cand, cand_val
-                        g = sample_loglik_gradient(GevParams.from_array(theta_vec), y)
+                        g, hess = derivatives(theta_vec)
                         break
                     if cand_val >= current - noise:
-                        cand_g = sample_loglik_gradient(GevParams.from_array(cand), y)
+                        cand_g, cand_hess = derivatives(cand)
                         if np.linalg.norm(cand_g) < 0.5 * g_norm:
-                            theta_vec, current, g = cand, max(cand_val, current), cand_g
+                            theta_vec, current = cand, max(cand_val, current)
+                            g, hess = cand_g, cand_hess
                             break
             scale *= 0.5
         else:
@@ -247,7 +253,7 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     if not margin > 0.0:
         raise RuntimeError(f"fit ended outside the feasible region (margin {margin!r})")
     loglik = sample_loglik(theta_hat, x)
-    grad_norm = float(np.linalg.norm(sample_loglik_gradient(theta_hat, x)))
+    grad_norm = math.hypot(*sample_loglik_gradient(theta_hat, x))
 
     hessian_negdef = False
     try:
@@ -306,7 +312,7 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     for i in range(3):
         ei = np.zeros(3)
         ei[i] = h[i]
-        out[i, i] = (value(vec + ei) - 2.0 * f0 + value(vec - ei)) / h[i] ** 2
+        out[i, i] = (value(vec + ei) - 2.0 * f0 + value(vec - ei)) / h[i] / h[i]
     for i in range(3):
         for j in range(i + 1, 3):
             ei = np.zeros(3)
@@ -316,7 +322,7 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
             out[i, j] = out[j, i] = (
                 value(vec + ei + ej) - value(vec + ei - ej)
                 - value(vec - ei + ej) + value(vec - ei - ej)
-            ) / (4.0 * h[i] * h[j])
+            ) / (2.0 * h[i]) / (2.0 * h[j])
     return (out + out.T) / 2.0
 
 

@@ -53,6 +53,10 @@ class GrowthRule:
     def __post_init__(self):
         if self.kind not in self.PARAMS:
             raise ValueError(f"unknown growth kind '{self.kind}'")
+        for field in dataclasses.fields(self)[1:]:
+            if field.name not in self.PARAMS[self.kind] and getattr(self, field.name) != field.default:
+                raise ValueError(f"growth kind '{self.kind}' takes no parameter '{field.name}' "
+                                 f"(it reads {', '.join(self.PARAMS[self.kind])})")
 
     def block_length(self, n: int) -> int:
         if n < 3:

@@ -11,6 +11,7 @@ from blockmax import (
     feasibility_margin,
     fit_mle,
     gev_loglik3,
+    gev_loglik_grad_hess,
     gev_sample,
     is_feasible,
     kl_divergence,
@@ -110,6 +111,20 @@ class TestFitMle:
         fit_mle(data)
         assert len(calls) < 200
 
+    def test_one_numeric_hessian_per_fit(self, monkeypatch):
+        # the ascent steps on the closed-form Hessian; the stencil only judges the result
+        data = gev_sample(GevParams(0.5, 10.0, 2.0), 10_000, seed=61)
+        calls = []
+        stencil = fit_module.numeric_hessian
+
+        def counted(theta, series):
+            calls.append(1)
+            return stencil(theta, series)
+
+        monkeypatch.setattr(fit_module, "numeric_hessian", counted)
+        fit_mle(data)
+        assert len(calls) == 1
+
     def test_affine_equivariance(self):
         # Gumbel and GEV(0.3) data; `converged` is not asserted because
         # grad_tol is absolute, so the verdict is not unit-free
@@ -117,7 +132,7 @@ class TestFitMle:
             data = gev_sample(GevParams(gamma, 1.0, 1.5), 3_000, seed=62)
             base = fit_mle(data)
             for a, b in ((1e-6, 0.0), (1e6, 0.0), (1.0, 1e8), (1e3, -1e8),
-                         (1e-3, 1e3), (1e6, 1e8), (0.37, -3.1)):
+                         (1e-3, 1e3), (1e6, 1e8), (0.37, -3.1), (1e300, 0.0), (1e-300, 0.0)):
                 moved = fit_mle(a * data + b).theta_hat
                 assert moved.gamma == pytest.approx(base.theta_hat.gamma, abs=1e-6)
                 assert (moved.mu - b) / a == pytest.approx(base.theta_hat.mu, rel=1e-6)
@@ -216,6 +231,45 @@ class TestNumericHessian:
         data, _ = fitted
         with pytest.raises(ValueError):
             numeric_hessian(GevParams(3.0, float(np.max(data)) + 1.0, 0.05), data)
+
+
+SHAPES = (0.0, 1e-9, 5e-4, 0.3, -0.3, -0.8, 1.2)  # 5e-4: the series branch
+
+
+def _grad_hess_case(gamma):
+    data = gev_sample(GevParams(gamma, 0.5, 1.3), 300, seed=72)
+    return GevParams(gamma, 0.4, 1.5), data  # every observation well inside the support
+
+
+class TestClosedFormHessian:
+    @pytest.mark.parametrize("gamma", SHAPES)
+    def test_matches_differenced_analytic_gradient(self, gamma):
+        theta, data = _grad_hess_case(gamma)
+        _, hess = gev_loglik_grad_hess(theta, data)
+        vec = theta.as_array()
+        fd = np.empty((3, 3))
+        for i in range(3):
+            step = 1e-5 * (1.0 + abs(vec[i]))
+            up = vec.copy()
+            dn = vec.copy()
+            up[i] += step
+            dn[i] -= step
+            fd[i] = (
+                sample_loglik_gradient(GevParams.from_array(up), data)
+                - sample_loglik_gradient(GevParams.from_array(dn), data)
+            ) / (2 * step)
+        np.testing.assert_allclose(hess, fd, rtol=0, atol=1e-6)
+        assert np.array_equal(hess, hess.T)
+
+    @pytest.mark.parametrize("gamma", SHAPES)
+    def test_gradient_is_the_sample_gradient(self, gamma):
+        theta, data = _grad_hess_case(gamma)
+        grad, _ = gev_loglik_grad_hess(theta, data)
+        np.testing.assert_allclose(grad, sample_loglik_gradient(theta, data), rtol=0, atol=1e-14)
+
+    def test_boundary_raises(self):
+        with pytest.raises(ValueError):
+            gev_loglik_grad_hess(GevParams(1.0, 0.0, 1.0), [0.5, -1.0])
 
 
 class TestKlDivergence:

@@ -18,7 +18,7 @@ from blockmax import (
     params_support,
     support_interval,
 )
-from blockmax.gev import gev_loglik_x_derivative
+from blockmax.gev import SERIES_CUTOFF, _dphi, _phi, gev_loglik_x_derivative
 
 EULER = 0.5772156649015329
 
@@ -225,6 +225,15 @@ class TestGradient:
             g0 = gev_loglik_gradient(theta_zero, x)
             g_eps = gev_loglik_gradient(GevParams(1e-7, 0.0, 1.0), x)
             assert np.max(np.abs(g0 - g_eps)) < 1e-6
+
+
+def test_phi_derivative_matches_differences():
+    # both sides of the series cutoff, and far from it
+    for u in (-0.9, -0.2, -1.5 * SERIES_CUTOFF, -0.5 * SERIES_CUTOFF, 0.0,
+              1e-6, 0.5 * SERIES_CUTOFF, 1.5 * SERIES_CUTOFF, 0.2, 3.0):
+        h = 1e-5
+        fd = (_phi(u + h) - _phi(u - h)) / (2 * h)
+        assert float(_dphi(u)) == pytest.approx(float(fd), rel=1e-7, abs=1e-7)
 
 
 class TestModeAndMax:

@@ -71,6 +71,13 @@ class TestGrowthRules:
         with pytest.raises(ValueError, match="'power:a=abc'"):
             GrowthRule.from_spec("power:a=abc")
 
+    def test_direct_construction_refuses_ignored_parameter(self):
+        # fixed:a=5 would run with m = 1 and power:c=5 describe itself as power:a=2
+        with pytest.raises(ValueError, match="'fixed' takes no parameter 'a'"):
+            GrowthRule("fixed", a=5)
+        with pytest.raises(ValueError, match="'power' takes no parameter 'c'"):
+            GrowthRule("power", c=5)
+
 
 class TestExpectedLoglik:
     def test_domain(self):
