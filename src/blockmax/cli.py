@@ -68,6 +68,8 @@ def cmd_blocks(args, command_line: str) -> int:
 
 
 def cmd_fit(args, command_line: str) -> int:
+    if args.block_size < 1:
+        raise ValueError("block length m must be >= 1")
     data = read_values(args.input)
     if data.size == 0:
         raise ValueError(f"{args.input}: no data values found")

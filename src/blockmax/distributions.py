@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gev import GAMMA_TINY, gev_cdf, gev_quantile, gev_upper_quantile
+from .gev import GAMMA_TINY, gev_cdf, gev_quantile, gev_upper_quantile, support_interval
 
 
 @dataclass(frozen=True)
@@ -209,20 +209,15 @@ def gev_reference(gamma: float) -> ReferenceDistribution:
     closed-form choice for the Gumbel; the integral formula does not
     apply because U is unbounded below near the origin).
     """
-    if abs(gamma) < GAMMA_TINY:
-        lo, hi = -math.inf, math.inf
-    elif gamma > 0:
-        lo, hi = -1.0 / gamma, math.inf
-    else:
-        lo, hi = -math.inf, -1.0 / gamma
+    span = support_interval(gamma)
     return ReferenceDistribution(
         name=f"gev(gamma={gamma:g})",
         gamma0=float(gamma),
         quantile=lambda u: gev_quantile(gamma, u),
         upper_quantile=lambda p: gev_upper_quantile(gamma, p),
         cdf=lambda x: gev_cdf(gamma, x),
-        right_endpoint=hi,
-        left_endpoint=lo,
+        right_endpoint=span.upper,
+        left_endpoint=span.lower,
         gumbel_scale=(lambda m: 1.0) if abs(gamma) < GAMMA_TINY else None,
         spec=f"gev:gamma={gamma:g}",
     )

@@ -237,9 +237,8 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     scale = q3 - q1 if q3 > q1 else float(np.max(x) - np.min(x))
     y = (x - center) / scale
     init = options.init
-    start = pwm_init(y) if init is None else GevParams(
-        init.gamma, (init.mu - center) / scale, init.sigma / scale)
-    start = _repair_feasibility(start, y)
+    start = pwm_init(y) if init is None else _repair_feasibility(GevParams(
+        init.gamma, (init.mu - center) / scale, init.sigma / scale), y)
 
     # d/dmu and d/dsigma in data units are 1/scale times those on y; the search
     # stops a decade below grad_tol because the verdict's gradient on x rounds differently.

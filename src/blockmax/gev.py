@@ -7,6 +7,7 @@ raising, so optimizers can treat infeasible points uniformly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,53 +69,67 @@ def params_support(params: GevParams) -> SupportInterval:
     )
 
 
-def _split_result(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
+def _standardized(gamma: float, z: np.ndarray):
+    """The pieces every standardized-GEV formula is built from.
+
+    Returns ``(g, inside, w, log_w, e)``: the shape in use (0 below
+    GAMMA_TINY, the Gumbel limit), the support mask w > 0 (plain True in
+    the limit), w = 1 + g*z (1.0 in the limit), log_w = log1p(g*z) (None
+    in the limit; 0 outside the support) and e = w^(-1/g) from log_w,
+    which stays accurate near g*z = 0; e is exp(-z) in the limit.
+    Callers set their own ``np.errstate``: e overflows to inf far in the
+    lower tail.
+    """
+    if abs(gamma) < GAMMA_TINY:
+        return 0.0, True, 1.0, None, np.exp(-z)
+    w = 1.0 + gamma * z
+    inside = w > 0
+    log_w = np.log1p(np.where(inside, gamma * z, 0.0))
+    return gamma, inside, w, log_w, np.exp(-log_w / gamma)
 
 
+def _elementwise(func):
+    """Let ``func(gamma, x)`` take a scalar or an array ``x``.
+
+    The body sees a float array of at least one dimension; a scalar or
+    0-d ``x`` gets a Python ``float`` back, an array an array of its shape.
+    """
+    @functools.wraps(func)
+    def wrapper(gamma, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return func(gamma, x)
+        return float(func(gamma, x.reshape(1))[0])
+    return wrapper
+
+
+@_elementwise
 def gev_cdf(gamma: float, x) -> float | np.ndarray:
     """CDF of the standardized GEV; total on the real line.
 
     Evaluates exp(-(1+gamma*x)^(-1/gamma)), extended by 0 below the
     support (gamma>0) and 1 above it (gamma<0).
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if abs(gamma) < GAMMA_TINY:
-        with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-x))
-        return _split_result(out if not scalar else out[0], scalar)
-    w = 1.0 + gamma * x
-    inside = w > 0
-    # exp(-w^(-1/gamma)) via log1p for stability near gamma ~ 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.where(inside, np.log1p(gamma * x), np.nan)
-        out = np.exp(-np.exp(-t / gamma))
-    out = np.where(inside, out, 0.0 if gamma > 0 else 1.0)
-    return _split_result(out if not scalar else out[0], scalar)
+    with np.errstate(over="ignore"):
+        g, inside, _, _, e = _standardized(gamma, x)
+        out = np.exp(-e)
+    return np.where(inside, out, 0.0 if g > 0 else 1.0)
 
 
+@_elementwise
 def gev_quantile(gamma: float, u) -> float | np.ndarray:
     """Inverse CDF of the standardized GEV for u in (0,1)."""
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    out = _from_gumbel(gamma, -np.log(-np.log(u)))
-    return _split_result(out if not scalar else out[0], scalar)
+    return _from_gumbel(gamma, -np.log(-np.log(u)))
 
 
+@_elementwise
 def gev_upper_quantile(gamma: float, p) -> float | np.ndarray:
     """gev_quantile(gamma, 1 - p) for p in (0,1), without rounding 1 - p."""
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("upper-tail probability must lie strictly in (0, 1)")
-    out = _from_gumbel(gamma, -np.log(-np.log1p(-p)))
-    return _split_result(out if not scalar else out[0], scalar)
+    return _from_gumbel(gamma, -np.log(-np.log1p(-p)))
 
 
 def _from_gumbel(gamma: float, w: np.ndarray) -> np.ndarray:
@@ -139,25 +154,14 @@ def gev_sample(params: GevParams, n: int, seed) -> np.ndarray:
     return params.mu + params.sigma * gev_quantile(params.gamma, u)
 
 
+@_elementwise
 def gev_loglik(gamma: float, x) -> float | np.ndarray:
     """Log-density of the standardized GEV; -inf outside the support."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if abs(gamma) < GAMMA_TINY:
-        with np.errstate(over="ignore"):
-            e = np.exp(-x)
-            out = np.where(np.isinf(e), -np.inf, -x - e)
-        return _split_result(out if not scalar else out[0], scalar)
-    w = 1.0 + gamma * x
-    inside = w > 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.log1p(np.where(inside, gamma * x, 0.0))
-        e = np.exp(-t / gamma)
-        out = -(1.0 + 1.0 / gamma) * t - e
+    with np.errstate(over="ignore", invalid="ignore"):  # e = inf gives inf - inf
+        g, inside, _, log_w, e = _standardized(gamma, x)
+        out = -x - e if log_w is None else -(1.0 + 1.0 / g) * log_w - e
         out = np.where(np.isinf(e), -np.inf, out)
-    out = np.where(inside, out, -np.inf)
-    return _split_result(out if not scalar else out[0], scalar)
+    return np.where(inside, out, -np.inf)
 
 
 def gev_loglik3(params: GevParams, x) -> float | np.ndarray:
@@ -177,14 +181,15 @@ def _phi(u) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _dphi(u) -> np.ndarray:
-    """Derivative of ``_phi``: (1/(1+u)^2 - 2*phi(u)) / u, series for small |u|."""
+def _dphi(u, phi) -> np.ndarray:
+    """Derivative of ``_phi``: (1/(1+u)^2 - 2*phi) / u with phi = _phi(u),
+    series for small |u|."""
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < SERIES_CUTOFF
     us = np.where(small, u, 0.0)
     series = -2 / 3 + us * (3 / 2 - us * (12 / 5 - us * 10 / 3))
     ub = np.where(small, 1.0, u)
-    direct = (1.0 / (1.0 + ub) ** 2 - 2.0 * _phi(ub)) / ub
+    direct = (1.0 / (1.0 + ub) ** 2 - 2.0 * phi) / ub
     return np.where(small, series, direct)
 
 
@@ -200,16 +205,10 @@ def _derivatives(params: GevParams, x: np.ndarray, hessian: bool) -> list:
     """
     sigma = params.sigma
     z = (x - params.mu) / sigma
-    if abs(params.gamma) < GAMMA_TINY:
-        gamma, w = 0.0, 1.0
-        with np.errstate(over="ignore"):
-            e = np.exp(-z)
-    else:
-        gamma = params.gamma
-        w = 1.0 + gamma * z
-        if np.any(w <= 0):
-            raise ValueError("gradient undefined on or outside the support boundary")
-        e = np.exp(-np.log1p(gamma * z) / gamma)
+    with np.errstate(over="ignore"):
+        gamma, _, w, _, e = _standardized(params.gamma, z)
+    if np.any(w <= 0):
+        raise ValueError("gradient undefined on or outside the support boundary")
     phi = _phi(gamma * z)
     columns = [
         (1.0 - e) * z * z * phi - z / w,
@@ -219,7 +218,7 @@ def _derivatives(params: GevParams, x: np.ndarray, hessian: bool) -> list:
     if not hessian:
         return columns
     t_g = -z * z * phi
-    t_gg = -z * z * z * _dphi(gamma * z)
+    t_gg = -z * z * z * _dphi(gamma * z, phi)
     g_z = (e - 1.0 - gamma) / w
     g_zz = (1.0 + gamma) * (gamma - e) / (w * w)
     g_gz = (-e * t_g - 1.0 - z * g_z) / w
@@ -258,20 +257,14 @@ def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
     return mean[:3], mean[[3, 4, 5, 4, 6, 7, 5, 7, 8]].reshape(3, 3)
 
 
+@_elementwise
 def gev_loglik_x_derivative(gamma: float, x) -> float | np.ndarray:
     """Derivative of the standardized log-likelihood in x (interior only)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if abs(gamma) < GAMMA_TINY:
-        out = np.exp(-x) - 1.0
-    else:
-        w = 1.0 + gamma * x
-        if np.any(w <= 0):
-            raise ValueError("derivative undefined outside the support")
-        e = np.exp(-np.log1p(gamma * x) / gamma)
-        out = (e - (1.0 + gamma)) / w
-    return _split_result(out if not scalar else out[0], scalar)
+    with np.errstate(over="ignore"):
+        g, _, w, _, e = _standardized(gamma, x)
+    if np.any(w <= 0):
+        raise ValueError("derivative undefined outside the support")
+    return (e - (1.0 + g)) / w
 
 
 def gev_mode(gamma: float) -> float:

@@ -349,6 +349,13 @@ class ObstructionRow:
     median_min_fast: float
 
 
+_OBSTRUCTION_NEEDS = "obstruction check needs gamma0 > 0 and left endpoint -inf"
+
+
+def _obstruction_applies(dist: ReferenceDistribution) -> bool:
+    return dist.gamma0 > 0.0 and dist.left_endpoint == -math.inf
+
+
 def check_slow_growth_obstruction(
     dist: ReferenceDistribution,
     n_grid: Sequence[int],
@@ -364,8 +371,8 @@ def check_slow_growth_obstruction(
     which destroys the feasible region around the truth; a fast schedule
     keeps it bounded.
     """
-    if not (dist.gamma0 > 0.0 and math.isinf(dist.left_endpoint) and dist.left_endpoint < 0):
-        raise ValueError("obstruction check needs gamma0 > 0 and left endpoint -inf")
+    if not _obstruction_applies(dist):
+        raise ValueError(_OBSTRUCTION_NEEDS)
     out: list[ObstructionRow] = []
     for cell, n in enumerate(n_grid):
         medians = []
@@ -498,10 +505,8 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
     if "obstruction" in config.checks:
         if config.slow_growth is None:
             problems.append("obstruction check requires a slow_growth rule")
-        if dist is not None and not (
-            dist.gamma0 > 0.0 and math.isinf(dist.left_endpoint) and dist.left_endpoint < 0
-        ):
-            problems.append("obstruction check needs gamma0 > 0 and left endpoint -inf")
+        if dist is not None and not _obstruction_applies(dist):
+            problems.append(_OBSTRUCTION_NEEDS)
     if problems:
         raise ValueError("invalid study config:\n  - " + "\n  - ".join(problems))
     return dist

@@ -124,6 +124,14 @@ class TestFit:
         assert run("fit", "--in", data, "--block-size", 2) == 2
         assert "at least 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block_size", [0, -2])
+    def test_block_size_below_one_refused(self, tmp_path, capsys, block_size):
+        data = tmp_path / "data.txt"
+        data.write_text("1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n")
+        assert run("fit", "--in", data, "--block-size", block_size) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["blockmax: error: block length m must be >= 1"]
+
     def test_nan_value_exit_two(self, tmp_path, capsys):
         data = tmp_path / "data.txt"
         data.write_text("1.0\n2.5\nnan\n0.3\n4.0\n")

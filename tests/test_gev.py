@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from blockmax import (
     params_support,
     support_interval,
 )
-from blockmax.gev import SERIES_CUTOFF, _dphi, _phi, gev_loglik_x_derivative
+from blockmax.gev import (SERIES_CUTOFF, _dphi, _phi, gev_loglik_x_derivative,
+                          gev_upper_quantile)
 
 EULER = 0.5772156649015329
 
@@ -233,7 +235,48 @@ def test_phi_derivative_matches_differences():
               1e-6, 0.5 * SERIES_CUTOFF, 1.5 * SERIES_CUTOFF, 0.2, 3.0):
         h = 1e-5
         fd = (_phi(u + h) - _phi(u - h)) / (2 * h)
-        assert float(_dphi(u)) == pytest.approx(float(fd), rel=1e-7, abs=1e-7)
+        assert float(_dphi(u, _phi(u))) == pytest.approx(float(fd), rel=1e-7, abs=1e-7)
+
+
+class TestExtremeArguments:
+    """The Gumbel limit is as quiet as gamma != 0 where e = w^(-1/gamma) overflows."""
+
+    # where the log-density is finite; elsewhere e overflows or x is outside the support
+    @pytest.mark.parametrize("gamma, finite", [
+        (0.0, [1000.0, 1e300]), (1e-9, [1000.0, 1e300]), (0.3, [1000.0, 1e300]),
+        (-0.3, [-1000.0])])
+    def test_cdf_and_loglik_quiet_at_extremes(self, gamma, finite):
+        x = np.array([-np.inf, -1e300, -1000.0, 1000.0, 1e300, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = gev_cdf(gamma, x)
+            loglik = gev_loglik(gamma, x)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        expected_finite = np.isin(x, finite)
+        assert np.all(np.isfinite(loglik[expected_finite]))
+        assert np.all(loglik[~expected_finite] == -np.inf)
+
+    @pytest.mark.parametrize("gamma, points", [
+        (0.0, [-1e300, -1000.0]), (1e-9, [-1e300, -1000.0]), (-0.3, [-1e300])])
+    def test_x_derivative_diverges_quietly(self, gamma, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gev_loglik_x_derivative(gamma, np.array(points))
+        assert np.all(values == np.inf)
+
+
+@pytest.mark.parametrize("func", [
+    gev_cdf, gev_loglik, gev_loglik_x_derivative, gev_quantile, gev_upper_quantile])
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_scalar_in_float_out(func, gamma):
+    # repr of a float is what `blockmax fit` and the study CSVs write
+    for scalar in (0.4, np.float64(0.4), np.array(0.4)):
+        value = func(gamma, scalar)
+        assert type(value) is float
+        assert repr(value) == repr(float(func(gamma, np.array([0.4]))[0]))
+    for shape in ((1,), (3,), (2, 3)):
+        out = func(gamma, np.full(shape, 0.4))
+        assert isinstance(out, np.ndarray) and out.shape == shape
 
 
 class TestModeAndMax:
