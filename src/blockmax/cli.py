@@ -24,6 +24,7 @@ from .lab import (
     ObstructionRow,
     StudyReport,
     StudyRow,
+    _study_errors,
     check_crucial_lemma,
     check_slow_growth_obstruction,
     csv_lines,
@@ -103,6 +104,9 @@ def cmd_fit(args, command_line: str) -> int:
 
 
 def cmd_gof(args, command_line: str) -> int:
+    for flag, value in (("--gamma", args.gamma), ("--mu", args.mu), ("--sigma", args.sigma)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     data = read_values(args.input)
     if data.size == 0:
         raise ValueError(f"{args.input}: no data values found")
@@ -168,14 +172,12 @@ def _summary_lines(report: StudyReport) -> list[str]:
 # --- plotting -------------------------------------------------------------
 
 
-def _read_study_csv(path):
-    """Parse a study report CSV; returns (gamma0, rows as dict of arrays)."""
+def _read_study_csv(path) -> tuple[float, list[StudyRow]]:
+    """Parse a study report CSV; returns (gamma0, rows)."""
     meta, rows = read_csv(path, StudyRow)
     if "gamma0" not in meta:
         raise ValueError(f"{path}: missing '# gamma0:' metadata needed for error statistics")
-    data = {key: np.array([getattr(r, key) for r in rows])
-            for key in ("n", "gamma_hat", "mu_err", "sigma_ratio")}
-    return float(meta["gamma0"]), data
+    return float(meta["gamma0"]), rows
 
 
 def _box_stats(values: np.ndarray) -> tuple[float, float, float, float, float]:
@@ -221,13 +223,10 @@ def _svg_boxpanel(parts, x0, y0, width, height, title, n_values, stats):
 
 def render_study_svg(csv_path) -> str:
     """Three box-summary panels of the normalized estimation errors."""
-    gamma0, data = _read_study_csv(csv_path)
-    n_values = sorted(set(data["n"].tolist()))
-    panels = [
-        ("|gamma_hat - gamma0|", np.abs(data["gamma_hat"] - gamma0)),
-        ("|mu_err|", np.abs(data["mu_err"])),
-        ("|sigma_ratio - 1|", np.abs(data["sigma_ratio"] - 1.0)),
-    ]
+    gamma0, rows = _read_study_csv(csv_path)
+    row_n = np.array([r.n for r in rows])
+    n_values = sorted({r.n for r in rows})
+    titles = ("|gamma_hat - gamma0|", "|mu_err|", "|sigma_ratio - 1|")
     panel_w, panel_h, pad = 290, 280, 10
     width = 3 * panel_w + 4 * pad
     height = panel_h + 2 * pad
@@ -236,10 +235,8 @@ def render_study_svg(csv_path) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for idx, (title, values) in enumerate(panels):
-        stats = [
-            _box_stats(values[data["n"] == n]) for n in n_values
-        ]
+    for idx, (title, values) in enumerate(zip(titles, _study_errors(rows, gamma0))):
+        stats = [_box_stats(values[row_n == n]) for n in n_values]
         parts.append(f'<g class="panel" id="panel-{idx}">')
         _svg_boxpanel(parts, pad + idx * (panel_w + pad), pad, panel_w, panel_h,
                       title, n_values, stats)

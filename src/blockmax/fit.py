@@ -23,6 +23,7 @@ from .gev import (
     EULER_GAMMA,
     GAMMA_TINY,
     GevParams,
+    _support_factor,
     gev_loglik3,
     gev_loglik_grad_hess,
     gev_loglik_gradient,
@@ -94,11 +95,10 @@ def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
 
 
 def feasibility_margin(theta: GevParams, series) -> float:
-    """min_k (1 + gamma * (x_k - mu) / sigma); must be > 0 for a finite fit."""
-    x = _as_values(series)
-    if abs(theta.gamma) < GAMMA_TINY:
-        return 1.0
-    return float(np.min(1.0 + theta.gamma * (x - theta.mu) / theta.sigma))
+    """min_k (1 + gamma * z_k) with z = (x - mu) / sigma, the support factor
+    ``gev_loglik3`` tests; must be > 0 for a finite fit."""
+    _, w = _support_factor(theta.gamma, (_as_values(series) - theta.mu) / theta.sigma)
+    return float(np.min(w))
 
 
 def is_feasible(theta: GevParams, series) -> bool:

@@ -69,23 +69,30 @@ def params_support(params: GevParams) -> SupportInterval:
     )
 
 
+def _support_factor(gamma: float, z):
+    """``(g, w)``: the shape in use (0 below GAMMA_TINY, the Gumbel limit)
+    and w = 1 + g*z (1.0 in the limit); the support is w > 0."""
+    if abs(gamma) < GAMMA_TINY:
+        return 0.0, 1.0
+    return gamma, 1.0 + gamma * z
+
+
 def _standardized(gamma: float, z: np.ndarray):
     """The pieces every standardized-GEV formula is built from.
 
-    Returns ``(g, inside, w, log_w, e)``: the shape in use (0 below
-    GAMMA_TINY, the Gumbel limit), the support mask w > 0 (plain True in
-    the limit), w = 1 + g*z (1.0 in the limit), log_w = log1p(g*z) (None
-    in the limit; 0 outside the support) and e = w^(-1/g) from log_w,
-    which stays accurate near g*z = 0; e is exp(-z) in the limit.
+    Returns ``(g, inside, w, log_w, e)``: g and w from ``_support_factor``,
+    the support mask w > 0 (plain True in the limit), log_w = log1p(g*z)
+    (None in the limit; 0 outside the support) and e = w^(-1/g) from
+    log_w, which stays accurate near g*z = 0; e is exp(-z) in the limit.
     Callers set their own ``np.errstate``: e overflows to inf far in the
     lower tail.
     """
-    if abs(gamma) < GAMMA_TINY:
+    g, w = _support_factor(gamma, z)
+    if not g:
         return 0.0, True, 1.0, None, np.exp(-z)
-    w = 1.0 + gamma * z
     inside = w > 0
-    log_w = np.log1p(np.where(inside, gamma * z, 0.0))
-    return gamma, inside, w, log_w, np.exp(-log_w / gamma)
+    log_w = np.log1p(np.where(inside, g * z, 0.0))
+    return g, inside, w, log_w, np.exp(-log_w / g)
 
 
 def _elementwise(func):

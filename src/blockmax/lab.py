@@ -18,7 +18,6 @@ import numpy as np
 from .blocks import (
     BlockMaximaSeries,
     EmpiricalMeasure,
-    NormalizedSeries,
     block_maxima,  # noqa: F401  unused here; benchmarks/tracing.py wraps this binding
     empirical_mean_loglik,
     ks_distance,
@@ -26,7 +25,7 @@ from .blocks import (
 )
 from .distributions import (NormalizingConstants, ReferenceDistribution, from_spec,
                             norm_constants, parse_key_values, sample_iid)
-from .fit import FitOptions, fit_mle
+from .fit import fit_mle
 from .gev import EULER_GAMMA, GevParams
 
 CELL_BUDGET = 10_000_000  # max n*m per replication (observations the maxima stand for)
@@ -195,31 +194,45 @@ class StudyReport:
         return csv_lines(StudyRow, self.rows)
 
 
-def _cell_maxima(
+def _cells(
     dist: ReferenceDistribution,
-    n: int,
-    constants: NormalizingConstants,
+    n_grid: Sequence[int],
+    rule: GrowthRule,
     replications: int,
     seed: int,
-    cell: int,
-    stream: int = 0,
-) -> Iterator[tuple[BlockMaximaSeries, NormalizedSeries]]:
-    """Each replication's n block maxima of length constants.m, raw and normalized.
+    stream: int,
+) -> Iterator[tuple[int, NormalizingConstants, Iterator]]:
+    """The Monte Carlo cell loop of every check: ``(n, constants, reps)`` per grid point.
 
-    A replication draws its maxima directly from F^m: n draws, not n*m
-    draws blocked afterwards.
+    ``constants`` are exact for m = rule(n); ``reps`` yields each replication's n
+    block maxima of length m, raw and normalized, drawn directly from F^m (n draws,
+    not n*m) on the stream ``SeedSequence(seed, spawn_key=(stream, cell, rep))``.
     """
-    m = constants.m
-    for rep in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
-        values = sample_iid(dist, int(n), rng, m)
-        series = BlockMaximaSeries(values=values, block_length=m, source_length=int(n) * m)
-        yield series, normalize(series, constants)
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+
+    def reps(n, constants, cell):
+        m = constants.m
+        for rep in range(replications):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
+            series = BlockMaximaSeries(sample_iid(dist, n, rng, m), m, n * m)
+            yield series, normalize(series, constants)
+
+    for cell, n in enumerate(n_grid):
+        constants = norm_constants(dist, rule.block_length(int(n)))
+        yield int(n), constants, reps(int(n), constants, cell)
 
 
 def _quartiles(values) -> tuple[float, float, float]:
     q1, q2, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
     return float(q1), float(q2), float(q3)
+
+
+def _study_errors(rows: Sequence[StudyRow], gamma0: float) -> np.ndarray:
+    """The three error statistics of each row, shape (3, len(rows)):
+    |gamma_hat - gamma0|, |mu_err| and |sigma_ratio - 1|."""
+    return np.abs(np.array([(r.gamma_hat - gamma0, r.mu_err, r.sigma_ratio - 1.0)
+                            for r in rows], dtype=float).T)
 
 
 def run_consistency_study(
@@ -228,7 +241,6 @@ def run_consistency_study(
     growth: GrowthRule,
     replications: int,
     seed: int,
-    fit_options: FitOptions = FitOptions(),
 ) -> StudyReport:
     """Fit block maxima over an n-grid and record normalized errors.
 
@@ -239,22 +251,17 @@ def run_consistency_study(
     """
     if not dist.gamma0 > -1.0:
         raise ValueError("study requires an index above -1")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
     rows: list[StudyRow] = []
     summaries: list[StudySummary] = []
     truth = GevParams(dist.gamma0, 0.0, 1.0)
-    for cell, n in enumerate(n_grid):
-        m = growth.block_length(int(n))
-        constants = norm_constants(dist, m)
+    for n, constants, reps in _cells(dist, n_grid, growth, replications, seed, 0):
         cell_rows: list[StudyRow] = []
-        for rep, (series, normalized) in enumerate(
-                _cell_maxima(dist, n, constants, replications, seed, cell)):
-            result = fit_mle(series.values, fit_options)
+        for rep, (series, normalized) in enumerate(reps):
+            result = fit_mle(series.values)
             measure = EmpiricalMeasure.from_values(normalized.values)
             cell_rows.append(StudyRow(
-                n=int(n),
-                m=m,
+                n=n,
+                m=constants.m,
                 rep=rep,
                 gamma_hat=result.theta_hat.gamma,
                 mu_err=(result.theta_hat.mu - constants.b_m) / constants.a_m,
@@ -265,12 +272,8 @@ def run_consistency_study(
             ))
         rows.extend(cell_rows)
         summaries.append(StudySummary(
-            n=int(n),
-            m=m,
-            replications=replications,
-            gamma_err_quartiles=_quartiles([abs(r.gamma_hat - dist.gamma0) for r in cell_rows]),
-            mu_err_quartiles=_quartiles([abs(r.mu_err) for r in cell_rows]),
-            sigma_err_quartiles=_quartiles([abs(r.sigma_ratio - 1.0) for r in cell_rows]),
+            n, constants.m, replications,
+            *(_quartiles(errors) for errors in _study_errors(cell_rows, dist.gamma0)),
             frac_converged=sum(r.converged for r in cell_rows) / replications,
             median_ks=float(np.median([r.ks for r in cell_rows])),
         ))
@@ -322,20 +325,13 @@ def check_crucial_lemma(
     target = expected_loglik(dist.gamma0)
     truth = GevParams(dist.gamma0, 0.0, 1.0)
     out: list[CrucialLemmaRow] = []
-    for cell, n in enumerate(n_grid):
-        m = growth.block_length(int(n))
-        constants = norm_constants(dist, m)
-        gaps = []
-        n_inf = 0
-        for _, normalized in _cell_maxima(dist, n, constants, replications, seed, cell, 1):
-            value = empirical_mean_loglik(EmpiricalMeasure.from_values(normalized.values), truth)
-            if math.isfinite(value):
-                gaps.append(abs(value - target))
-            else:
-                n_inf += 1
-                gaps.append(math.inf)
+    for n, constants, reps in _cells(dist, n_grid, growth, replications, seed, 1):
+        values = [empirical_mean_loglik(EmpiricalMeasure.from_values(normalized.values), truth)
+                  for _, normalized in reps]
+        gaps = [abs(v - target) if math.isfinite(v) else math.inf for v in values]
         out.append(CrucialLemmaRow(
-            n=int(n), m=m, median_gap=float(np.median(gaps)), n_infeasible=n_inf,
+            n=n, m=constants.m, median_gap=float(np.median(gaps)),
+            n_infeasible=sum(not math.isfinite(v) for v in values),
         ))
     return out
 
@@ -373,22 +369,13 @@ def check_slow_growth_obstruction(
     """
     if not _obstruction_applies(dist):
         raise ValueError(_OBSTRUCTION_NEEDS)
-    out: list[ObstructionRow] = []
-    for cell, n in enumerate(n_grid):
-        medians = []
-        ms = []
-        for stream, rule in ((2, slow), (3, fast)):
-            m = rule.block_length(int(n))
-            constants = norm_constants(dist, m)
-            mins = [float(np.min(normalized.values)) for _, normalized in
-                    _cell_maxima(dist, n, constants, replications, seed, cell, stream)]
-            medians.append(float(np.median(mins)))
-            ms.append(m)
-        out.append(ObstructionRow(
-            n=int(n), m_slow=ms[0], median_min_slow=medians[0],
-            m_fast=ms[1], median_min_fast=medians[1],
-        ))
-    return out
+    columns = [[(constants.m,
+                 float(np.median([float(np.min(normalized.values)) for _, normalized in reps])))
+                for _, constants, reps in _cells(dist, n_grid, rule, replications, seed, stream)]
+               for stream, rule in ((2, slow), (3, fast))]
+    return [ObstructionRow(n=int(n), m_slow=m_slow, median_min_slow=slow_min,
+                           m_fast=m_fast, median_min_fast=fast_min)
+            for n, (m_slow, slow_min), (m_fast, fast_min) in zip(n_grid, *columns)]
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,19 @@ class TestGof:
         assert len(err) == 1
         assert "1 NaN and 1 infinite values among 3 observations" in err[0]
 
+    @pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--mu", "inf"),
+                                            ("--sigma", "nan"), ("--sigma", "inf")])
+    def test_non_finite_parameter_exit_two(self, tmp_path, capsys, flag, value):
+        data = tmp_path / "six.txt"
+        data.write_text("0.1\n0.4\n-0.3\n1.2\n0.8\n2.5\n")
+        args = {"--gamma": "0", "--mu": "0", "--sigma": "1", flag: value}
+        assert run("gof", "--in", data, *(item for pair in args.items() for item in pair)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert f"{flag} must be finite" in err[0]
+
 
 class TestStudy:
     def test_runs_and_reruns_identically(self, tmp_path):

@@ -313,3 +313,23 @@ class TestInvariants:
         if res.converged:
             assert res.grad_norm <= 1e-8
             assert res.hessian_negdef
+
+    def test_infeasible_points_score_minus_infinity(self):
+        # Points placed within 3 ulp of the support boundary: the margin and
+        # the log-likelihood must read the same support factor 1 + gamma*z.
+        rng = np.random.default_rng(2026)
+        disagreements = []
+        for _ in range(400):
+            gamma = max(float(rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 0.5)), -0.95)
+            sigma = float(10 ** rng.uniform(-2, 2))
+            x = rng.normal(size=12) * 10 ** rng.uniform(-2, 2)
+            x += rng.normal() * 10 ** rng.uniform(-1, 3)
+            mu = (x.min() if gamma > 0 else x.max()) + sigma / gamma
+            for direction in (-np.inf, np.inf):
+                nudged = mu
+                for _ in range(4):
+                    theta = GevParams(gamma, float(nudged), sigma)
+                    if not is_feasible(theta, x) and sample_loglik(theta, x) != -math.inf:
+                        disagreements.append(theta)
+                    nudged = np.nextafter(nudged, direction)
+        assert disagreements == []

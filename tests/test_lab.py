@@ -6,22 +6,27 @@ import pytest
 from scipy.stats import beta
 
 from blockmax import (
+    EmpiricalMeasure,
     GevParams,
     GrowthRule,
     cauchy,
     check_crucial_lemma,
     check_slow_growth_obstruction,
+    empirical_mean_loglik,
     exponential,
     expected_loglik,
+    fit_mle,
     gev_loglik,
     gev_loglik_max,
     gev_reference,
     gev_sample,
+    ks_distance,
     norm_constants,
     pareto,
     parse_study_config,
     poly_log_growth,
     run_consistency_study,
+    sample_iid,
     slow_growth,
     validate_study_config,
 )
@@ -183,6 +188,61 @@ class TestCrucialLemma:
         for rule in (slow_growth(), poly_log_growth()):
             rows = check_crucial_lemma(pareto(1.0), [1_000, 10_000], rule, 50, seed=31)
             assert all(r.n_infeasible == 0 for r in rows)
+
+
+def _draw_by_hand(dist, n, m, seed, stream, cell, rep):
+    """One replication's maxima and normalized maxima, from the documented stream key."""
+    values = sample_iid(dist, n, np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)), m)
+    constants = norm_constants(dist, m)
+    return values, (values - constants.b_m) / constants.a_m, constants
+
+
+class TestCellLoop:
+    @pytest.mark.parametrize("check", [
+        lambda reps: run_consistency_study(pareto(1.0), [100], poly_log_growth(), reps, 1),
+        lambda reps: check_crucial_lemma(pareto(1.0), [100], poly_log_growth(), reps, 1),
+        lambda reps: check_slow_growth_obstruction(
+            cauchy(), [1_000], slow_growth(), poly_log_growth(), reps, 1),
+    ], ids=["consistency", "crucial_lemma", "obstruction"])
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_every_check_refuses_no_replications(self, check, replications):
+        with pytest.raises(ValueError, match="replications"):
+            check(replications)
+
+    def test_consistency_rows_follow_stream_zero(self):
+        dist, truth, m = pareto(1.0), GevParams(1.0, 0.0, 1.0), poly_log_growth().block_length(120)
+        report = run_consistency_study(dist, [50, 120], poly_log_growth(), 3, seed=17)
+        for rep in range(3):
+            values, normalized, constants = _draw_by_hand(dist, 120, m, 17, 0, 1, rep)
+            fit = fit_mle(values)
+            measure = EmpiricalMeasure.from_values(normalized)
+            assert report.rows[3 + rep] == StudyRow(
+                n=120, m=m, rep=rep, gamma_hat=fit.theta_hat.gamma,
+                mu_err=(fit.theta_hat.mu - constants.b_m) / constants.a_m,
+                sigma_ratio=fit.theta_hat.sigma / constants.a_m, converged=fit.converged,
+                ks=ks_distance(measure, 1.0), mean_ll_truth=empirical_mean_loglik(measure, truth),
+            )
+
+    def test_crucial_lemma_row_follows_stream_one(self):
+        dist, m = exponential(), poly_log_growth().block_length(150)
+        rows = check_crucial_lemma(dist, [60, 150], poly_log_growth(), 4, seed=5)
+        values = [empirical_mean_loglik(EmpiricalMeasure.from_values(
+            _draw_by_hand(dist, 150, m, 5, 1, 1, rep)[1]), GevParams(0.0, 0.0, 1.0))
+            for rep in range(4)]
+        gaps = [abs(v - expected_loglik(0.0)) for v in values]
+        assert rows[1] == CrucialLemmaRow(n=150, m=m, median_gap=float(np.median(gaps)),
+                                          n_infeasible=0)
+
+    def test_obstruction_row_follows_streams_two_and_three(self):
+        dist, slow, fast = cauchy(), slow_growth(), poly_log_growth()
+        rows = check_slow_growth_obstruction(dist, [1_000, 3_000], slow, fast, 3, seed=9)
+        medians = [float(np.median([float(np.min(_draw_by_hand(
+            dist, 3_000, rule.block_length(3_000), 9, stream, 1, rep)[1])) for rep in range(3)]))
+            for stream, rule in ((2, slow), (3, fast))]
+        assert rows[1] == ObstructionRow(
+            n=3_000, m_slow=slow.block_length(3_000), median_min_slow=medians[0],
+            m_fast=fast.block_length(3_000), median_min_fast=medians[1],
+        )
 
 
 class TestObstruction:
