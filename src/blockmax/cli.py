@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -254,6 +255,11 @@ def cmd_plot(args, command_line: str) -> int:
 # --- argument parsing ------------------------------------------------------
 
 
+# A negative float literal as float() reads it: -1e5, -.5, -2.5e-1, -inf, -nan.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockmax",
@@ -299,6 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
 
+    # argparse takes only -<digits> and -<digits>.<digits> as negative numbers;
+    # any other word that starts with '-', such as -1e5 or -inf, it reads as an
+    # option, leaving the flag before it without a value.  No flag here looks
+    # like a number, so every float literal can be a value.
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

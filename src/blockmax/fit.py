@@ -4,19 +4,19 @@ The sample log-likelihood generally has no global maximum, so "fit" here
 means: find a local maximum inside the open region where every
 observation is feasible, verify the first-order conditions with the
 analytic gradient, and verify second-order conditions with a numeric
-Hessian.  Shape values at or below -1 are excluded from the search: the
-likelihood has no local maximum there.
+Hessian: one finite-difference stencil call (``numeric_hessian``) per
+fit, while the search itself runs on the closed-form Hessian.  Shape
+values at or below -1 are excluded from the search: the likelihood has
+no local maximum there.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize  # noqa: F401  benchmarks/tracing.py wraps this binding
-from scipy.special import gamma as gamma_func
 
 from .blocks import BlockMaximaSeries, check_finite
 from .gev import (
@@ -35,6 +35,7 @@ GAMMA_FLOOR = -1.0 + 1e-6
 GAMMA_CAP = 10.0
 INIT_GAMMA_LO = -0.95
 INIT_GAMMA_HI = 5.0
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest t with exp(t) finite
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,31 @@ def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
 
 def feasibility_margin(theta: GevParams, series) -> float:
     """min_k (1 + gamma * z_k) with z = (x - mu) / sigma, the support factor
-    ``gev_loglik3`` tests; must be > 0 for a finite fit."""
-    _, w = _support_factor(theta.gamma, (_as_values(series) - theta.mu) / theta.sigma)
-    return float(np.min(w))
+    ``gev_loglik3`` tests; must be > 0 for a finite fit.
+
+    Each rounded step from x to 1 + gamma*z is monotone in x, so the
+    minimum sits at the smallest or the largest observation, bit for bit.
+    """
+    x = _as_values(series)
+    return min(_support_factor(theta.gamma, (float(v) - theta.mu) / theta.sigma)[1]
+               for v in (x.min(), x.max()))
 
 
 def is_feasible(theta: GevParams, series) -> bool:
-    return feasibility_margin(theta, series) > 0.0
+    """True exactly where ``sample_loglik`` is finite.
+
+    Every observation must lie inside the support (margin > 0), and
+    e = w^(-1/gamma) must not overflow.  e is largest at the smallest
+    observation; it overflows there for gamma > 0 within a few ulp of the
+    support boundary, where -log(margin)/gamma passes log(DBL_MAX), and
+    far in the lower tail for gamma <= 0.
+    """
+    if not feasibility_margin(theta, series) > 0.0:
+        return False
+    z = (float(_as_values(series).min()) - theta.mu) / theta.sigma
+    g, _ = _support_factor(theta.gamma, z)
+    log_e = -float(np.log1p(g * z)) / g if g else -z  # as gev._standardized forms e
+    return log_e <= _LOG_DBL_MAX
 
 
 def _repair_feasibility(theta: GevParams, x: np.ndarray) -> GevParams:
@@ -149,7 +168,10 @@ def pwm_init(series) -> GevParams:
         mu = l1 - EULER_GAMMA * sigma
         gamma = 0.0
     else:
-        g1 = gamma_func(1.0 + k)
+        try:
+            g1 = math.gamma(1.0 + k)
+        except ValueError:  # 1 + k on a pole (0, -1, ..., -4): use the fallback below
+            g1 = math.nan
         sigma = l2 * k / ((1.0 - 2.0 ** (-k)) * g1)
         mu = l1 - sigma * (1.0 - g1) / k
         gamma = -k
@@ -325,12 +347,26 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+def __getattr__(name):
+    # ``fit.minimize`` is scipy's, resolved only when asked for, so that importing
+    # blockmax loads no scipy: benchmarks/tracing.py still wraps this unused
+    # binding.  Delete this hook when TRACED drops fit.minimize (ROADMAP item 8).
+    if name == "minimize":
+        try:
+            from scipy.optimize import minimize
+        except ImportError as exc:
+            raise AttributeError(f"{__name__}.minimize needs scipy") from exc
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def kl_divergence(theta0: GevParams, theta: GevParams) -> float:
     """Kullback-Leibler divergence between two GEV laws, base measure theta0.
 
     Computed as a quadrature of the log-density gap against the theta0
     law via the probability integral transform.  If theta0 puts mass
-    outside the support of theta, the divergence is +inf.
+    outside the support of theta, the divergence is +inf.  Needs scipy
+    (the ``test`` extra) for the quadrature.
     """
     s0 = params_support(theta0)
     s1 = params_support(theta)
@@ -341,6 +377,8 @@ def kl_divergence(theta0: GevParams, theta: GevParams) -> float:
         z = gev_quantile(theta0.gamma, u)
         point = theta0.mu + theta0.sigma * z
         return gev_loglik3(theta0, point) - gev_loglik3(theta, point)
+
+    from scipy.integrate import quad
 
     value, _ = quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-10, epsrel=1e-10)
     return max(float(value), 0.0)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockmax
 from blockmax import read_values
 from blockmax.cli import main
 
@@ -187,6 +192,35 @@ class TestGof:
         assert f"{flag} must be finite" in err[0]
 
 
+    @pytest.mark.parametrize("flag,value", [("--mu", "-1e5"), ("--gamma", "-2.5e-1"),
+                                            ("--mu", "-.5")])
+    def test_negative_exponent_values_parse(self, tmp_path, capsys, flag, value):
+        data = tmp_path / "six.txt"
+        data.write_text("0.1\n0.4\n-0.3\n1.2\n0.8\n2.5\n")
+        args = {"--gamma": "0", "--mu": "0", "--sigma": "1", flag: value}
+        assert run("gof", "--in", data, *(item for pair in args.items() for item in pair)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("n = 6\nks = ")
+
+    def test_space_separated_value_matches_equals_form(self, tmp_path, capsys):
+        data = tmp_path / "six.txt"
+        data.write_text("0.1\n0.4\n-0.3\n1.2\n0.8\n2.5\n")
+        assert run("gof", "--in", data, "--gamma", "-2.5e-1", "--mu", "-1e-1") == 0
+        spaced = capsys.readouterr().out
+        assert run("gof", "--in", data, "--gamma=-0.25", "--mu=-0.1") == 0
+        assert capsys.readouterr().out == spaced
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--mu", "--sigma"])
+    def test_negative_infinity_reaches_finiteness_check(self, tmp_path, capsys, flag):
+        data = tmp_path / "six.txt"
+        data.write_text("0.1\n0.4\n-0.3\n1.2\n0.8\n2.5\n")
+        args = {"--gamma": "0", "--mu": "0", "--sigma": "1", flag: "-inf"}
+        assert run("gof", "--in", data, *(item for pair in args.items() for item in pair)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"blockmax: error: {flag} must be finite, got -inf"]
+
+
 class TestStudy:
     def test_runs_and_reruns_identically(self, tmp_path):
         cfg = tmp_path / "study.cfg"
@@ -288,3 +322,65 @@ def test_bundled_study_config_validates():
     dist = validate_study_config(config)
     assert dist.gamma0 == 1.0
     assert config.replications == 200
+
+
+# Runs in a fresh interpreter where every scipy import raises ImportError.
+NO_SCIPY_RUN = """
+import sys
+from pathlib import Path
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from blockmax.cli import main
+
+out = Path(sys.argv[1])
+(out / "study.cfg").write_text(
+    "dist = cauchy\\nn_grid = 30, 60\\ngrowth = poly_log:c=1,a=2\\n"
+    "slow_growth = slow:c=1,offset=1\\nreplications = 3\\nseed = 4\\n"
+    "checks = consistency, crucial_lemma, obstruction\\n")
+commands = [
+    ["simulate", "--dist", "pareto:alpha=1", "--n", "2000", "--seed", "7", "--out", out / "x.txt"],
+    ["blocks", "--in", out / "x.txt", "--block-size", "40", "--out", out / "bm.txt"],
+    ["fit", "--in", out / "x.txt", "--block-size", "40", "--out", out / "fit.txt"],
+    ["gof", "--in", out / "bm.txt", "--gamma", "1", "--mu", "30", "--sigma", "30"],
+    ["study", "--config", out / "study.cfg", "--out", out / "study"],
+    ["plot", "--report", out / "study" / "report.csv", "--out", out / "plot.svg"],
+]
+for argv in commands:
+    code = main([str(a) for a in argv])
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+print(sorted(p.name for p in (out / "study").iterdir()))
+print(sum(1 for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def _python(*args):
+    src = str(Path(blockmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestWithoutScipy:
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        proc = _python("-c", NO_SCIPY_RUN, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        files, scipy_modules = proc.stdout.splitlines()[-2:]
+        assert files == "['crucial_lemma.csv', 'obstruction.csv', 'report.csv', 'summary.txt']"
+        assert scipy_modules == "0"
+        assert (tmp_path / "plot.svg").read_text().startswith("<svg")
+
+    def test_import_loads_no_scipy(self):
+        proc = _python("-c", "import sys, blockmax, blockmax.cli; "
+                             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -86,6 +86,36 @@ class TestPwmInit:
         with pytest.raises(ValueError):
             pwm_init([1.0, 2.0])
 
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0] * 99 + [1.0]],
+                             ids=["low-pair", "high-pair", "99-zeros"])
+    def test_extreme_skewness_start_is_feasible(self, x):
+        # L-skewness t3 = +-1 puts the shape at the ends of its reachable range
+        init = pwm_init(x)
+        assert all(math.isfinite(v) for v in init.as_array())
+        assert init.gamma > -1.0 and init.sigma > 0
+        assert feasibility_margin(init, x) > 0 and is_feasible(init, x)
+
+    def test_gamma_function_matches_scipy_on_reachable_range(self):
+        # |t3| <= 1 keeps k = -shape within (-0.98, 3.3), clipped below 0.95,
+        # so the start evaluates Gamma(1 + k) on about [0.02, 1.95)
+        from scipy.special import gamma as scipy_gamma
+
+        a = np.linspace(0.02, 1.95, 2001)
+        ours = np.array([math.gamma(v) for v in a])
+        np.testing.assert_allclose(ours, scipy_gamma(a), rtol=2e-15, atol=0)
+
+    def test_gamma_pole_takes_the_moment_fallback(self, monkeypatch):
+        x = gev_sample(GevParams(0.2, 0.0, 1.0), 200, seed=53)
+
+        def pole(arg):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(fit_module.math, "gamma", pole)
+        init = pwm_init(x)
+        assert init.gamma == 0.0
+        assert init.mu == float(np.median(x))
+        assert init.sigma == float(np.std(x))
+
 
 class TestFitMle:
     def test_exact_model_recovery(self):
@@ -315,8 +345,10 @@ class TestInvariants:
             assert res.hessian_negdef
 
     def test_infeasible_points_score_minus_infinity(self):
-        # Points placed within 3 ulp of the support boundary: the margin and
-        # the log-likelihood must read the same support factor 1 + gamma*z.
+        # Points placed within 3 ulp of the support boundary: is_feasible must
+        # hold exactly where the log-likelihood is finite.  There every
+        # w = 1 + gamma*z can be positive while e = w^(-1/gamma) overflows
+        # (small gamma > 0), which makes the log-likelihood -inf.
         rng = np.random.default_rng(2026)
         disagreements = []
         for _ in range(400):
@@ -329,7 +361,19 @@ class TestInvariants:
                 nudged = mu
                 for _ in range(4):
                     theta = GevParams(gamma, float(nudged), sigma)
-                    if not is_feasible(theta, x) and sample_loglik(theta, x) != -math.inf:
+                    if is_feasible(theta, x) != math.isfinite(sample_loglik(theta, x)):
                         disagreements.append(theta)
                     nudged = np.nextafter(nudged, direction)
         assert disagreements == []
+
+    @pytest.mark.parametrize("theta,x", [
+        (GevParams(0.0, 0.0, 1.0), [-800.0, 0.0, 1.0]),       # Gumbel: e = exp(800)
+        (GevParams(-0.001, 0.0, 1.0), [-1e5, 0.0, 1.0]),      # w = 101, e = 101^1000
+        (GevParams(0.01, 100.0, 1.0), [1e-13, 1.0, 2.0]),     # margin 1e-15, e = 1e1500
+    ], ids=["gumbel", "negative-shape", "positive-shape"])
+    def test_overflowing_point_is_infeasible(self, theta, x):
+        assert sample_loglik(theta, x) == -math.inf
+        assert not is_feasible(theta, x)
+        assert feasibility_margin(theta, x) > 0
+        with pytest.raises(ValueError, match="infeasible"):
+            numeric_hessian(theta, x)
