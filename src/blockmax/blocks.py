@@ -113,13 +113,22 @@ def ks_distance(measure: EmpiricalMeasure, gamma: float) -> float:
     return float(max(np.max(steps_hi - f), np.max(f - steps_lo)))
 
 
+def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
+    """Mean of ``gev_loglik3`` over ``x``, behind ``empirical_mean_loglik`` and
+    ``fit.sample_loglik``; -inf if any point scores -inf or the sum overflows."""
+    if x.size == 0:
+        raise ValueError("empty series")
+    ll = np.atleast_1d(gev_loglik3(params, x))
+    if (ll == -np.inf).any():
+        return float("-inf")
+    with np.errstate(over="ignore"):
+        return float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
+
+
 def empirical_mean_loglik(measure: EmpiricalMeasure, params: GevParams) -> float:
     """Mean log-likelihood over the point measure; -inf if any point is
     outside the support of ``params``."""
-    ll = np.atleast_1d(gev_loglik3(params, measure.points))
-    if np.any(np.isneginf(ll)):
-        return float("-inf")
-    return float(np.mean(ll))
+    return _mean_loglik(params, measure.points)
 
 
 def read_values(path) -> np.ndarray:

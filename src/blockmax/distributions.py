@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gev import GAMMA_TINY, gev_cdf, gev_quantile, gev_upper_quantile, support_interval
+from .gev import _shape, gev_cdf, gev_quantile, gev_upper_quantile, support_interval
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,13 @@ def norm_constants(dist: ReferenceDistribution, m: int) -> NormalizingConstants:
     of the index: gamma0 * U(m) above 0, -gamma0 * (x* - U(m)) below 0,
     and the member's closed-form ``gumbel_scale`` at 0.
     """
-    if m < 1:
-        raise ValueError("block length m must be >= 1")
+    if m < 2:
+        raise ValueError(f"block length m = {m} is below 2; exact constants need m >= 2")
     b_m = float(dist.tail_quantile(m))
     if not math.isfinite(b_m):
         raise ValueError(f"U({m}) is not finite for member '{dist.name}'")
-    g = dist.gamma0
-    if abs(g) < GAMMA_TINY:
+    g = _shape(dist.gamma0)
+    if not g:
         if dist.gumbel_scale is None:
             raise ValueError(f"member '{dist.name}' has index 0 but no closed-form gumbel_scale")
         a_m = float(dist.gumbel_scale(m))
@@ -130,8 +130,8 @@ def sample_iid(dist: ReferenceDistribution, n: int, seed, m: int = 1) -> np.ndar
 
 def pareto(alpha: float = 1.0) -> ReferenceDistribution:
     """Pareto tail F(x) = 1 - x^(-alpha) on [1, inf); index 1/alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     return ReferenceDistribution(
         name=f"pareto(alpha={alpha:g})",
         gamma0=1.0 / alpha,
@@ -167,8 +167,8 @@ def beta_tail(beta: float = 2.0) -> ReferenceDistribution:
     Requires beta > 1 so the index stays above -1 (beta = 1 would be the
     uniform distribution, which is outside the admissible range).
     """
-    if beta <= 1.0:
-        raise ValueError("beta must be > 1 (beta = 1 is the uniform case, index -1)")
+    if not beta > 1.0:
+        raise ValueError(f"beta must be > 1, got {beta} (beta = 1 is the uniform case, index -1)")
     return ReferenceDistribution(
         name=f"beta-tail(beta={beta:g})",
         gamma0=-1.0 / beta,
@@ -218,7 +218,7 @@ def gev_reference(gamma: float) -> ReferenceDistribution:
         cdf=lambda x: gev_cdf(gamma, x),
         right_endpoint=span.upper,
         left_endpoint=span.lower,
-        gumbel_scale=(lambda m: 1.0) if abs(gamma) < GAMMA_TINY else None,
+        gumbel_scale=None if _shape(gamma) else (lambda m: 1.0),
         spec=f"gev:gamma={gamma:g}",
     )
 
@@ -248,7 +248,8 @@ def parse_key_values(parts, types: dict, where: str, into: Optional[dict] = None
     """Parse ``key=value`` parts into ``into`` (a new dict by default).
 
     Each non-blank part must name a key of ``types`` not seen before, and
-    its value is converted by ``types[key]``.  Errors name ``where``.
+    its value is converted by ``types[key]`` (a float must be finite).  Errors
+    name ``where``.
     """
     out = {} if into is None else into
     for part in parts:
@@ -265,6 +266,8 @@ def parse_key_values(parts, types: dict, where: str, into: Optional[dict] = None
             out[key] = types[key](value.strip())
         except ValueError as exc:
             raise ValueError(f"bad value for '{key}' in {where}: {exc}") from exc
+        if types[key] is float and not math.isfinite(out[key]):
+            raise ValueError(f"'{key}' must be finite in {where}, got {value.strip()}")
     return out
 
 

@@ -12,17 +12,16 @@ no local maximum there.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockMaximaSeries, check_finite
+from .blocks import BlockMaximaSeries, _mean_loglik, check_finite
 from .gev import (
     EULER_GAMMA,
-    GAMMA_TINY,
     GevParams,
+    _shape,
     _support_factor,
     gev_loglik3,
     gev_loglik_grad_hess,
@@ -35,7 +34,6 @@ GAMMA_FLOOR = -1.0 + 1e-6
 GAMMA_CAP = 10.0
 INIT_GAMMA_LO = -0.95
 INIT_GAMMA_HI = 5.0
-_LOG_DBL_MAX = math.log(sys.float_info.max)  # the largest t with exp(t) finite
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,7 @@ def _as_values(series) -> np.ndarray:
 
 def sample_loglik(theta: GevParams, series) -> float:
     """Mean log-likelihood over the observations; -inf if any is infeasible."""
-    x = _as_values(series)
-    if x.size == 0:
-        raise ValueError("empty series")
-    ll = np.atleast_1d(gev_loglik3(theta, x))
-    if np.any(np.isneginf(ll)):
-        return float("-inf")
-    return float(np.mean(ll))
+    return _mean_loglik(theta, _as_values(series))
 
 
 def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
@@ -108,20 +100,8 @@ def feasibility_margin(theta: GevParams, series) -> float:
 
 
 def is_feasible(theta: GevParams, series) -> bool:
-    """True exactly where ``sample_loglik`` is finite.
-
-    Every observation must lie inside the support (margin > 0), and
-    e = w^(-1/gamma) must not overflow.  e is largest at the smallest
-    observation; it overflows there for gamma > 0 within a few ulp of the
-    support boundary, where -log(margin)/gamma passes log(DBL_MAX), and
-    far in the lower tail for gamma <= 0.
-    """
-    if not feasibility_margin(theta, series) > 0.0:
-        return False
-    z = (float(_as_values(series).min()) - theta.mu) / theta.sigma
-    g, _ = _support_factor(theta.gamma, z)
-    log_e = -float(np.log1p(g * z)) / g if g else -z  # as gev._standardized forms e
-    return log_e <= _LOG_DBL_MAX
+    """True exactly where ``sample_loglik`` is finite."""
+    return math.isfinite(sample_loglik(theta, series))
 
 
 def _repair_feasibility(theta: GevParams, x: np.ndarray) -> GevParams:
@@ -131,10 +111,8 @@ def _repair_feasibility(theta: GevParams, x: np.ndarray) -> GevParams:
         cand = GevParams(gamma, mu, sigma)
         if is_feasible(cand, x):
             return cand
-        gamma *= 0.5
+        gamma = _shape(gamma * 0.5)
         sigma *= 2.0
-        if abs(gamma) < GAMMA_TINY:
-            gamma = 0.0
     raise ValueError("could not repair the starting point into the feasible region")
 
 
@@ -163,7 +141,7 @@ def pwm_init(series) -> GevParams:
     k = 7.8590 * c + 2.9554 * c * c
     # clamp the shape into (INIT_GAMMA_LO, INIT_GAMMA_HI]; k is minus the shape
     k = float(np.clip(k, -INIT_GAMMA_HI, -INIT_GAMMA_LO - 1e-9))
-    if abs(k) < GAMMA_TINY:
+    if not _shape(k):  # the Gumbel limit
         sigma = l2 / math.log(2.0)
         mu = l1 - EULER_GAMMA * sigma
         gamma = 0.0
@@ -318,8 +296,6 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     truncation against round-off for a twice-differenced mean of logs.
     """
     x = _as_values(series)
-    if not is_feasible(theta, x):
-        raise ValueError("Hessian requested at an infeasible parameter point")
     vec = theta.as_array()
     h = 1e-4 * (1.0 + np.abs(vec))
 
@@ -329,6 +305,8 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
         return sample_loglik(GevParams.from_array(v), x)
 
     f0 = value(vec)
+    if not math.isfinite(f0):
+        raise ValueError("Hessian requested at an infeasible parameter point")
     out = np.empty((3, 3))
     for i in range(3):
         ei = np.zeros(3)

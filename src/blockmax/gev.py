@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below GAMMA_TINY all formulas switch to their Gumbel (gamma=0) limits;
-# between GAMMA_TINY and SERIES_CUTOFF the gamma-derivative uses a series
-# to avoid catastrophic cancellation.
+# Below GAMMA_TINY all formulas switch to their Gumbel (gamma=0) limits,
+# as ``_shape`` alone decides; below SERIES_CUTOFF in |gamma*z| the
+# gamma-derivative uses a series to avoid catastrophic cancellation.
 GAMMA_TINY = 1e-8
 SERIES_CUTOFF = 1e-3
 
@@ -51,13 +51,19 @@ class SupportInterval:
     upper: float
 
 
+def _shape(gamma: float) -> float:
+    """The shape every formula uses: 0.0 in the Gumbel limit, else ``gamma``."""
+    return 0.0 if abs(gamma) < GAMMA_TINY else gamma
+
+
 def support_interval(gamma: float) -> SupportInterval:
     """Support of the standardized GEV with shape ``gamma``."""
-    if abs(gamma) < GAMMA_TINY:
+    g = _shape(gamma)
+    if not g:
         return SupportInterval(-math.inf, math.inf)
-    if gamma > 0:
-        return SupportInterval(-1.0 / gamma, math.inf)
-    return SupportInterval(-math.inf, -1.0 / gamma)
+    if g > 0:
+        return SupportInterval(-1.0 / g, math.inf)
+    return SupportInterval(-math.inf, -1.0 / g)
 
 
 def params_support(params: GevParams) -> SupportInterval:
@@ -70,11 +76,10 @@ def params_support(params: GevParams) -> SupportInterval:
 
 
 def _support_factor(gamma: float, z):
-    """``(g, w)``: the shape in use (0 below GAMMA_TINY, the Gumbel limit)
-    and w = 1 + g*z (1.0 in the limit); the support is w > 0."""
-    if abs(gamma) < GAMMA_TINY:
-        return 0.0, 1.0
-    return gamma, 1.0 + gamma * z
+    """``(g, w)``: the shape in use, ``_shape(gamma)``, and w = 1 + g*z
+    (1.0 in the Gumbel limit); the support is w > 0."""
+    g = _shape(gamma)
+    return (g, 1.0 + g * z) if g else (0.0, 1.0)
 
 
 def _standardized(gamma: float, z: np.ndarray):
@@ -141,10 +146,11 @@ def gev_upper_quantile(gamma: float, p) -> float | np.ndarray:
 
 def _from_gumbel(gamma: float, w: np.ndarray) -> np.ndarray:
     """GEV quantile from the Gumbel quantile w: expm1(gamma*w)/gamma."""
-    if abs(gamma) < GAMMA_TINY:
+    g = _shape(gamma)
+    if not g:
         return w
     with np.errstate(over="ignore"):
-        return np.expm1(gamma * w) / gamma
+        return np.expm1(g * w) / g
 
 
 def gev_sample(params: GevParams, n: int, seed) -> np.ndarray:
@@ -208,7 +214,7 @@ def _derivatives(params: GevParams, x: np.ndarray, hessian: bool) -> list:
     log-density g(gamma, z) with z = (x-mu)/sigma, w = 1+gamma*z,
     e = w^(-1/gamma) and t = log(w)/gamma, whose gamma-derivatives are
     t_g = -z^2 phi(gamma z) and t_gg = -z^3 phi'(gamma z) (Prescott &
-    Walden, Biometrika 1980).  Below GAMMA_TINY gamma is taken as 0.
+    Walden, Biometrika 1980).  gamma is ``_shape(gamma)``: 0 in the limit.
     """
     sigma = params.sigma
     z = (x - params.mu) / sigma
@@ -278,9 +284,8 @@ def gev_mode(gamma: float) -> float:
     """Interior maximizer of the standardized log-likelihood (gamma > -1)."""
     if gamma <= -1.0:
         raise ValueError("no interior maximum for gamma <= -1")
-    if abs(gamma) < GAMMA_TINY:
-        return 0.0
-    return math.expm1(-gamma * math.log1p(gamma)) / gamma
+    g = _shape(gamma)
+    return math.expm1(-g * math.log1p(g)) / g if g else 0.0
 
 
 def gev_loglik_max(gamma: float) -> float:

@@ -482,6 +482,9 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
             continue
         for rule in rules:
             m = rule.block_length(n)
+            if m < 2:
+                problems.append(f"cell n={n}, m={m} under growth '{rule.describe()}': "
+                                "exact constants need m >= 2")
             if n * m > CELL_BUDGET:
                 problems.append(
                     f"cell n={n}, m={m} stands for {n * m} observations per replication, "

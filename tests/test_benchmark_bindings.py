@@ -35,3 +35,32 @@ def test_bindings_listed():
 @pytest.mark.parametrize("caller,name", BINDINGS, ids=[f"{c}.{n}" for c, n in BINDINGS])
 def test_traced_binding_resolves(caller, name):
     assert callable(getattr(importlib.import_module(caller), name, None)), f"{caller}.{name}"
+
+
+def test_every_loglik_evaluation_passes_a_traced_binding(monkeypatch):
+    # gev.gev_loglik3.calls counts calls through fit.gev_loglik3 and
+    # blocks.gev_loglik3; a mean log-likelihood that reached gev_loglik3 any
+    # other way would make that count read low
+    import blockmax
+    from blockmax import blocks, fit, gev
+
+    counts = {"gev_loglik": 0, "traced": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(gev, "gev_loglik", "gev_loglik")
+    counting(fit, "gev_loglik3", "traced")
+    counting(blocks, "gev_loglik3", "traced")
+
+    x = blockmax.gev_sample(blockmax.GevParams(0.2, 1.0, 2.0), 200, seed=3)
+    blockmax.fit_mle(x)
+    blockmax.run_consistency_study(blockmax.pareto(1.0), [50], blockmax.poly_log_growth(), 2, seed=4)
+    assert counts["gev_loglik"] > 0
+    assert counts["traced"] == counts["gev_loglik"]

@@ -54,6 +54,16 @@ class TestSimulate:
         assert code == 2
         assert "unknown distribution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["gev:gamma=nan", "gev:gamma=inf", "pareto:alpha=nan"])
+    def test_non_finite_parameter_exit_two(self, tmp_path, capsys, spec):
+        out = tmp_path / "x.txt"
+        assert run("simulate", "--dist", spec, "--n", 10, "--seed", 1, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        key = spec.split(":")[1].split("=")[0]
+        assert err == [f"blockmax: error: '{key}' must be finite in spec '{spec}', "
+                       f"got {spec.split('=')[1]}"]
+        assert not out.exists()
+
     def test_auto_seed_recorded(self, tmp_path):
         out = tmp_path / "auto.txt"
         assert run("simulate", "--dist", "exponential", "--n", 5, "--out", out) == 0
@@ -259,6 +269,25 @@ seed = 3
 """)
         assert run("study", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("growth", ["poly_log:c=inf", "power:a=inf", "poly_log:c=nan"])
+    def test_non_finite_growth_exit_two(self, tmp_path, capsys, growth):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(STUDY_CFG.replace("poly_log:c=1,a=2", growth))
+        assert run("study", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        key = growth.split(":")[1].split("=")[0]
+        assert err == [f"blockmax: error: bad value for 'growth' in {cfg}:4: "
+                       f"'{key}' must be finite in growth spec '{growth}', got {growth.split('=')[1]}"]
+
+    @pytest.mark.parametrize("growth", ["fixed:c=1", "poly_log:c=0,a=2"])
+    def test_unit_block_length_exit_two(self, tmp_path, capsys, growth):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(STUDY_CFG.replace("poly_log:c=1,a=2", growth))
+        assert run("study", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"cell n=50, m=1 under growth '{growth}'" in err
+        assert f"cell n=100, m=1 under growth '{growth}'" in err
 
     def test_invalid_config_lists_violations(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"

@@ -61,6 +61,12 @@ class TestNormConstants:
         assert c.a_m == 1.0
         assert c.b_m == pytest.approx(gev_quantile(0.0, 1 - 1e-3), rel=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_block_length_below_two_refused(self, m):
+        # U(1) = quantile(0) is the left endpoint, not a tail quantile
+        with pytest.raises(ValueError, match=f"m = {m} is below 2; exact constants need m >= 2"):
+            norm_constants(pareto(1.0), m)
+
     def test_degenerate_scale_rejected(self):
         # Cauchy tail quantile vanishes at m = 2: the printed formula
         # gives scale 0 there, which must be reported, not returned
@@ -233,6 +239,21 @@ class TestFromSpec:
         for bad in ("nope", "pareto:beta=1", "pareto:alpha=abc", "gev"):
             with pytest.raises(ValueError):
                 from_spec(bad)
+
+    @pytest.mark.parametrize("spec,key", [
+        ("gev:gamma=nan", "gamma"), ("gev:gamma=inf", "gamma"), ("gev:gamma=-inf", "gamma"),
+        ("pareto:alpha=nan", "alpha"), ("pareto:alpha=inf", "alpha"),
+        ("beta-tail:beta=nan", "beta"), ("beta-tail:beta=inf", "beta"),
+    ])
+    def test_non_finite_parameter_names_key_and_spec(self, spec, key):
+        with pytest.raises(ValueError, match=f"'{key}' must be finite in spec '{spec}'"):
+            from_spec(spec)
+
+    def test_members_refuse_nan_directly(self):
+        with pytest.raises(ValueError, match="alpha must be > 0, got nan"):
+            pareto(math.nan)
+        with pytest.raises(ValueError, match="beta must be > 1, got nan"):
+            beta_tail(math.nan)
 
     def test_bad_value_and_repeated_key_name_the_spec(self):
         with pytest.raises(ValueError, match="'alpha'.*'pareto:alpha=abc'"):

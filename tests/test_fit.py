@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ class TestInvariants:
                         disagreements.append(theta)
                     nudged = np.nextafter(nudged, direction)
         assert disagreements == []
+
+    def test_overflowing_sum_is_infeasible_and_quiet(self):
+        # every block scores about -1.74e308, finite, but the two tied
+        # smallest blocks sum past -DBL_MAX, so the mean is -inf
+        gamma = 0.05176
+        z = (-1.0 + 2.0**-53) / gamma
+        theta, x = GevParams(gamma, 0.0, 1.0), np.array([z, z, 1.0])
+        assert np.all(np.isfinite(gev_loglik3(theta, x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_loglik(theta, x) == -math.inf
+            assert not is_feasible(theta, x)
+        with pytest.raises(ValueError, match="infeasible"):
+            numeric_hessian(theta, x)
 
     @pytest.mark.parametrize("theta,x", [
         (GevParams(0.0, 0.0, 1.0), [-800.0, 0.0, 1.0]),       # Gumbel: e = exp(800)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,8 @@ from blockmax import (
     gev_quantile,
     gev_sample,
     params_support,
+    gev_reference,
+    norm_constants,
     support_interval,
 )
 from blockmax.gev import (SERIES_CUTOFF, _dphi, _phi, gev_loglik_x_derivative,
@@ -323,6 +326,43 @@ class TestSupport:
         span = params_support(GevParams(0.5, 10.0, 2.0))
         assert span.lower == pytest.approx(10.0 - 2.0 / 0.5)
         assert span.upper == math.inf
+
+
+class TestGumbelThreshold:
+    """Every function takes the Gumbel branch for |gamma| < 1e-8 and none above it."""
+
+    U = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9])
+    X = np.array([-3.0, -0.5, 1.5, 10.0])  # not 0, where both branches give -1
+
+    @staticmethod
+    def _constants(gamma):
+        # a sentinel gumbel_scale shows whether norm_constants reads it
+        dist = dataclasses.replace(gev_reference(gamma), gumbel_scale=lambda m: 7.0)
+        return dist, norm_constants(dist, 1000)
+
+    @pytest.mark.parametrize("gamma", [0.5e-8, -0.5e-8, 0.99e-8, -0.99e-8])
+    def test_inside_takes_gumbel_branch(self, gamma):
+        assert support_interval(gamma) == support_interval(0.0)
+        assert support_interval(gamma).lower == -math.inf
+        assert support_interval(gamma).upper == math.inf
+        assert gev_reference(gamma).gumbel_scale is not None
+        assert self._constants(gamma)[1].a_m == 7.0
+        assert gev_mode(gamma) == 0.0
+        assert np.array_equal(gev_quantile(gamma, self.U), gev_quantile(0.0, self.U))
+        assert np.array_equal(gev_loglik(gamma, self.X), gev_loglik(0.0, self.X))
+
+    @pytest.mark.parametrize("gamma", [1.01e-8, -1.01e-8, 2e-8, -2e-8])
+    def test_outside_keeps_the_shape(self, gamma):
+        span = support_interval(gamma)
+        assert (span.lower, span.upper) == ((-1.0 / gamma, math.inf) if gamma > 0
+                                            else (-math.inf, -1.0 / gamma))
+        assert gev_reference(gamma).gumbel_scale is None
+        dist, c = self._constants(gamma)
+        assert c.a_m == (gamma * c.b_m if gamma > 0 else -gamma * (dist.right_endpoint - c.b_m))
+        assert c.a_m != 7.0
+        assert gev_mode(gamma) != 0.0
+        assert np.all(gev_quantile(gamma, self.U) != gev_quantile(0.0, self.U))
+        assert np.all(gev_loglik(gamma, self.X) != gev_loglik(0.0, self.X))
 
 
 def test_params_require_positive_scale():

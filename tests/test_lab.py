@@ -450,6 +450,25 @@ checks = obstruction
         with pytest.raises(ValueError, match="obstruction"):
             validate_study_config(parse_study_config(path))
 
+    def test_unit_block_cells_listed(self, tmp_path):
+        # m = 1 has no exact constants; every such cell is named with its rule
+        path = self.write(tmp_path, """
+dist = cauchy
+n_grid = 100, 1000
+growth = fixed:c=1
+replications = 2
+seed = 5
+checks = consistency, obstruction
+slow_growth = slow:c=0.1,offset=0
+""")
+        with pytest.raises(ValueError) as err:
+            validate_study_config(parse_study_config(path))
+        message = str(err.value)
+        for n in (100, 1000):
+            assert f"cell n={n}, m=1 under growth 'fixed:c=1'" in message
+            assert f"cell n={n}, m=1 under growth 'slow:c=0.1,offset=0'" in message
+        assert message.count("exact constants need m >= 2") == 4
+
     def test_unknown_key_names_line(self, tmp_path):
         path = self.write(tmp_path, """dist = cauchy
 n_grid = 1000
