@@ -44,7 +44,6 @@ from .blocks import (
     write_values,
 )
 from .fit import (
-    FitOptions,
     FitResult,
     feasibility_margin,
     fit_mle,

@@ -49,6 +49,8 @@ def _resolve_seed(seed) -> int:
 
 
 def cmd_simulate(args, command_line: str) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     dist = from_spec(args.dist)
     seed = _resolve_seed(args.seed)
     values = sample_iid(dist, args.n, seed)

@@ -34,17 +34,8 @@ GAMMA_FLOOR = -1.0 + 1e-6
 GAMMA_CAP = 10.0
 INIT_GAMMA_LO = -0.95
 INIT_GAMMA_HI = 5.0
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    grad_tol: float = 1e-8
-    max_iters: int = 500
-    init: Optional[GevParams] = None
-
-    def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be > 0")
+GRAD_TOL = 1e-8   # bound on the data-unit gradient norm of a converged fit
+MAX_ITERS = 500   # Newton steps before the ascent gives up
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,11 +152,15 @@ def pwm_init(series) -> GevParams:
     return _repair_feasibility(GevParams(gamma, float(mu), float(sigma)), x)
 
 
-def _newton_ascent(theta_vec, y, max_iters, grad_weights, grad_stop):
+def _newton_ascent(theta_vec, y, grad_weights):
     """Saddle-free Newton ascent on the mean log-likelihood of ``y`` with
-    feasibility backtracking, until |grad_weights * gradient| <= grad_stop.
-    Each accepted point gets one closed-form gradient and Hessian.
-    Returns (theta_vec, n_iterations, stall_reason)."""
+    feasibility backtracking, for at most ``MAX_ITERS`` steps.
+
+    ``grad_weights`` maps the gradient on ``y`` to data units, and the
+    search stops once that norm is a tenth of ``GRAD_TOL``: a decade
+    below the verdict's bound, because the verdict's gradient on x rounds
+    differently.  Each accepted point gets one closed-form gradient and
+    Hessian.  Returns (theta_vec, n_iterations, stall_reason)."""
 
     def value(vec):
         return sample_loglik(GevParams.from_array(vec), y)
@@ -175,9 +170,9 @@ def _newton_ascent(theta_vec, y, max_iters, grad_weights, grad_stop):
 
     current = value(theta_vec)
     g, hess = derivatives(theta_vec)
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         g_norm = np.linalg.norm(g)
-        if math.hypot(*(grad_weights * g)) <= grad_stop:
+        if math.hypot(*(grad_weights * g)) <= 0.1 * GRAD_TOL:
             return theta_vec, it, ""
         # Newton step on |H| (eigenvalue magnitudes, floored), so it ascends
         # even away from a maximum; the gradient where H is not finite.
@@ -214,16 +209,16 @@ def _newton_ascent(theta_vec, y, max_iters, grad_weights, grad_stop):
             scale *= 0.5
         else:
             return theta_vec, it + 1, "plateau: no ascent step found"
-    return theta_vec, max_iters, "Newton iteration limit reached"
+    return theta_vec, MAX_ITERS, "Newton iteration limit reached"
 
 
-def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
+def fit_mle(series, init: Optional[GevParams] = None) -> FitResult:
     """Find a local maximum of the mean GEV log-likelihood.
 
-    Newton ascent on y = (x - median) / IQR from the moment start; the
-    estimate is mapped back to data units, so it moves with shifts and
-    rescalings of the data, and first- and second-order verification run
-    on x.  Points outside the feasible region (or with shape outside
+    Newton ascent on y = (x - median) / IQR from the moment start, or
+    from ``init`` (repaired into feasibility) when given; the estimate is
+    mapped back to data units, so it moves with shifts and rescalings of
+    the data, and first- and second-order verification run on x.  Points outside the feasible region (or with shape outside
     (-1, 10]) score -inf and are never accepted.
     """
     x = _as_values(series)
@@ -236,15 +231,12 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     q1, center, q3 = (float(q) for q in np.percentile(x, (25.0, 50.0, 75.0)))
     scale = q3 - q1 if q3 > q1 else float(np.max(x) - np.min(x))
     y = (x - center) / scale
-    init = options.init
     start = pwm_init(y) if init is None else _repair_feasibility(GevParams(
         init.gamma, (init.mu - center) / scale, init.sigma / scale), y)
 
-    # d/dmu and d/dsigma in data units are 1/scale times those on y; the search
-    # stops a decade below grad_tol because the verdict's gradient on x rounds differently.
+    # d/dmu and d/dsigma in data units are 1/scale times those on y
     units = np.array([1.0, 1.0 / scale, 1.0 / scale])
-    best, iterations, stall = _newton_ascent(
-        start.as_array(), y, options.max_iters, units, 0.1 * options.grad_tol)
+    best, iterations, stall = _newton_ascent(start.as_array(), y, units)
 
     gamma, mu, sigma = (float(v) for v in best)
     theta_hat = GevParams(gamma, center + scale * mu, scale * sigma)
@@ -262,20 +254,12 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
     except (ValueError, np.linalg.LinAlgError):
         pass
 
-    diagnostics = []
-    if stall:
-        diagnostics.append(stall)
-    if margin <= 1e-6:
-        diagnostics.append(f"feasibility boundary: min block margin {margin:.3e}")
-    if theta_hat.gamma <= GAMMA_FLOOR + 1e-6:
-        diagnostics.append("shape pinned at the lower admissible bound")
-    if grad_norm > options.grad_tol:
-        diagnostics.append(f"gradient norm {grad_norm:.3e} above tolerance")
-    if not hessian_negdef:
-        diagnostics.append("numeric Hessian not negative definite")
-
-    boundary = margin <= 1e-6 or theta_hat.gamma <= GAMMA_FLOOR + 1e-6
-    converged = (grad_norm <= options.grad_tol) and hessian_negdef and not boundary
+    failed = [message for fails, message in (
+        (margin <= 1e-6, f"feasibility boundary: min block margin {margin:.3e}"),
+        (theta_hat.gamma <= GAMMA_FLOOR + 1e-6, "shape pinned at the lower admissible bound"),
+        (not grad_norm <= GRAD_TOL, f"gradient norm {grad_norm:.3e} above tolerance"),
+        (not hessian_negdef, "numeric Hessian not negative definite"),
+    ) if fails]
 
     return FitResult(
         theta_hat=theta_hat,
@@ -283,9 +267,9 @@ def fit_mle(series, options: FitOptions = FitOptions()) -> FitResult:
         grad_norm=grad_norm,
         hessian_negdef=hessian_negdef,
         n_blocks=int(x.size),
-        converged=converged,
+        converged=not failed,
         iterations=iterations,
-        diagnostic="; ".join(diagnostics),
+        diagnostic="; ".join(([stall] if stall else []) + failed),
     )
 
 

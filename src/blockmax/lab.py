@@ -60,14 +60,18 @@ class GrowthRule:
     def block_length(self, n: int) -> int:
         if n < 3:
             raise ValueError("growth rules are defined for n >= 3")
-        if self.kind == "poly_log":
-            m = math.ceil(self.c * math.log(n) ** self.a)
-        elif self.kind == "power":
-            m = math.ceil(n ** self.a)
-        elif self.kind == "fixed":
-            m = round(self.c)
-        else:
-            m = math.ceil(self.c * math.log(math.log(n))) + self.offset
+        try:
+            if self.kind == "poly_log":
+                m = math.ceil(self.c * math.log(n) ** self.a)
+            elif self.kind == "power":
+                m = math.ceil(n ** self.a)
+            elif self.kind == "fixed":
+                m = round(self.c)
+            else:
+                m = math.ceil(self.c * math.log(math.log(n))) + self.offset
+        except (OverflowError, ValueError) as exc:  # an m that overflows, or is NaN
+            raise ValueError(f"growth '{self.describe()}' has no finite block length "
+                             f"at n={n}") from exc
         return max(int(m), 1)
 
     @property
@@ -472,6 +476,11 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
         problems.append("replications must be >= 1")
     if not config.n_grid:
         problems.append("n_grid is empty")
+    repeated = sorted({n for n in config.n_grid if config.n_grid.count(n) > 1})
+    if repeated:
+        problems.append(f"n_grid repeats {', '.join(map(str, repeated))}")
+    if config.seed < 0:
+        problems.append(f"seed must be >= 0, got {config.seed}")
     for check in config.checks:
         if check not in KNOWN_CHECKS:
             problems.append(f"unknown check '{check}' (known: {', '.join(KNOWN_CHECKS)})")
@@ -481,7 +490,11 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
             problems.append(f"n = {n} is too small")
             continue
         for rule in rules:
-            m = rule.block_length(n)
+            try:
+                m = rule.block_length(n)
+            except ValueError as exc:
+                problems.append(str(exc))
+                continue
             if m < 2:
                 problems.append(f"cell n={n}, m={m} under growth '{rule.describe()}': "
                                 "exact constants need m >= 2")

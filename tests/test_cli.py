@@ -64,6 +64,13 @@ class TestSimulate:
                        f"got {spec.split('=')[1]}"]
         assert not out.exists()
 
+    def test_negative_seed_names_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert run("simulate", "--dist", "cauchy", "--n", 10, "--seed", -1, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "blockmax: error: --seed must be >= 0, got -1"]
+        assert not out.exists()
+
     def test_auto_seed_recorded(self, tmp_path):
         out = tmp_path / "auto.txt"
         assert run("simulate", "--dist", "exponential", "--n", 5, "--out", out) == 0
@@ -289,6 +296,16 @@ seed = 3
         assert f"cell n=50, m=1 under growth '{growth}'" in err
         assert f"cell n=100, m=1 under growth '{growth}'" in err
 
+    @pytest.mark.parametrize("growth, shown", [("power:a=1e10", "power:a=1e+10"),
+                                               ("poly_log:c=1e308,a=2", "poly_log:c=1e+308,a=2")])
+    def test_overflowing_growth_exit_two(self, tmp_path, capsys, growth, shown):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(STUDY_CFG.replace("poly_log:c=1,a=2", growth))
+        assert run("study", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        for n in (50, 100):
+            assert f"growth '{shown}' has no finite block length at n={n}" in err
+
     def test_invalid_config_lists_violations(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
         cfg.write_text("""
@@ -296,11 +313,12 @@ dist = uniform
 n_grid = 100
 growth = poly_log:c=1,a=2
 replications = 0
-seed = 3
+seed = -1
 """)
         assert run("study", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "index -1" in err and "replications" in err
+        assert "seed must be >= 0, got -1" in err
 
 
 class TestPlot:

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmax import (
-    FitOptions,
     FitResult,
     GevParams,
     block_maxima,
@@ -158,7 +159,7 @@ class TestFitMle:
 
     def test_affine_equivariance(self):
         # Gumbel and GEV(0.3) data; `converged` is not asserted because
-        # grad_tol is absolute, so the verdict is not unit-free
+        # GRAD_TOL is absolute, so the verdict is not unit-free
         for gamma in (0.0, 0.3):
             data = gev_sample(GevParams(gamma, 1.0, 1.5), 3_000, seed=62)
             base = fit_mle(data)
@@ -196,15 +197,24 @@ class TestFitMle:
         with pytest.raises(ValueError, match="2 NaN and 1 infinite values among 50"):
             fit_mle(data)
 
-    def test_iteration_cap_returns_nonconverged(self):
+    def test_iteration_cap_returns_nonconverged(self, monkeypatch):
         data = gev_sample(GevParams(0.5, 0.0, 1.0), 2_000, seed=66)
-        res = fit_mle(data, FitOptions(max_iters=3))
+        monkeypatch.setattr(fit_module, "MAX_ITERS", 3)
+        res = fit_mle(data)
         assert res.iterations >= 3
         assert isinstance(res.converged, bool)
 
+    def test_nan_gradient_is_reported(self, monkeypatch):
+        data = gev_sample(GevParams(0.5, 0.0, 1.0), 200, seed=70)
+        monkeypatch.setattr(fit_module, "sample_loglik_gradient",
+                            lambda theta, series: np.full(3, np.nan))
+        res = fit_mle(data)
+        assert not res.converged
+        assert "gradient norm nan above tolerance" in res.diagnostic
+
     def test_custom_init_used(self):
         data = gev_sample(GevParams(0.5, 0.0, 1.0), 2_000, seed=67)
-        res = fit_mle(data, FitOptions(init=GevParams(0.4, 0.1, 1.1)))
+        res = fit_mle(data, init=GevParams(0.4, 0.1, 1.1))
         assert res.converged
         assert abs(res.theta_hat.gamma - 0.5) < 0.1
 
@@ -344,6 +354,17 @@ class TestInvariants:
         if res.converged:
             assert res.grad_norm <= 1e-8
             assert res.hessian_negdef
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(gamma=st.floats(-0.45, 1.5), n=st.integers(30, 400),
+           seed=st.integers(0, 2**64 - 1))
+    def test_estimate_feasible_and_independent_of_block_order(self, gamma, n, seed):
+        data = gev_sample(GevParams(gamma, 0.0, 1.0), n, seed)
+        theta = fit_mle(data).theta_hat
+        assert theta.gamma > -1.0
+        assert feasibility_margin(theta, data) > 0
+        shuffled = fit_mle(np.random.default_rng(seed).permutation(data)).theta_hat
+        assert shuffled.as_array() == pytest.approx(theta.as_array(), rel=1e-6, abs=0)
 
     def test_infeasible_points_score_minus_infinity(self):
         # Points placed within 3 ulp of the support boundary: is_feasible must

@@ -76,6 +76,16 @@ class TestGrowthRules:
         with pytest.raises(ValueError, match="'power:a=abc'"):
             GrowthRule.from_spec("power:a=abc")
 
+    @pytest.mark.parametrize("rule, shown", [
+        (GrowthRule("power", a=1e10), "power:a=1e+10"),             # n ** a overflows
+        (GrowthRule("poly_log", c=1e308), "poly_log:c=1e+308,a=2"),  # ceil(inf)
+        (GrowthRule("power", a=math.nan), "power:a=nan"),            # ceil(nan)
+    ], ids=["power-overflow", "poly-log-inf", "power-nan"])
+    def test_non_finite_block_length_names_rule(self, rule, shown):
+        with pytest.raises(ValueError, match=re.escape(
+                f"growth '{shown}' has no finite block length at n=100")):
+            rule.block_length(100)
+
     def test_direct_construction_refuses_ignored_parameter(self):
         # fixed:a=5 would run with m = 1 and power:c=5 describe itself as power:a=2
         with pytest.raises(ValueError, match="'fixed' takes no parameter 'a'"):
@@ -468,6 +478,23 @@ slow_growth = slow:c=0.1,offset=0
             assert f"cell n={n}, m=1 under growth 'fixed:c=1'" in message
             assert f"cell n={n}, m=1 under growth 'slow:c=0.1,offset=0'" in message
         assert message.count("exact constants need m >= 2") == 4
+
+    def test_seed_grid_and_overflowing_growth_listed(self, tmp_path):
+        # a repeated n would give two cells that share report rows and one plot box
+        path = self.write(tmp_path, """
+dist = pareto:alpha=1
+n_grid = 100, 400, 100
+growth = power:a=1e10
+replications = 2
+seed = -1
+""")
+        with pytest.raises(ValueError) as err:
+            validate_study_config(parse_study_config(path))
+        message = str(err.value)
+        assert "n_grid repeats 100" in message
+        assert "seed must be >= 0, got -1" in message
+        for n in (100, 400):
+            assert f"growth 'power:a=1e+10' has no finite block length at n={n}" in message
 
     def test_unknown_key_names_line(self, tmp_path):
         path = self.write(tmp_path, """dist = cauchy
