@@ -36,7 +36,6 @@ from .blocks import (
     EmpiricalMeasure,
     NormalizedSeries,
     block_maxima,
-    empirical_cdf,
     empirical_mean_loglik,
     ks_distance,
     normalize,

@@ -48,9 +48,6 @@ class EmpiricalMeasure:
             raise ValueError("empirical measure needs at least one point")
         return EmpiricalMeasure(points=values)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def check_finite(values: np.ndarray, where: str = "") -> None:
     """Refuse NaN and infinite values with a count of each; errors start with ``where``."""
@@ -86,17 +83,6 @@ def normalize(series: BlockMaximaSeries, constants: NormalizingConstants) -> Nor
         values=(series.values - constants.b_m) / constants.a_m,
         constants=constants,
     )
-
-
-def denormalize(series: NormalizedSeries) -> np.ndarray:
-    return series.values * series.constants.a_m + series.constants.b_m
-
-
-def empirical_cdf(measure: EmpiricalMeasure, t) -> float | np.ndarray:
-    """Right-continuous fraction of points <= t."""
-    t = np.asarray(t, dtype=float)
-    out = np.searchsorted(measure.points, t, side="right") / len(measure)
-    return float(out) if t.ndim == 0 else out
 
 
 def ks_distance(measure: EmpiricalMeasure, gamma: float) -> float:

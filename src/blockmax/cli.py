@@ -82,8 +82,12 @@ def cmd_fit(args, command_line: str) -> int:
             f"{args.input}: {data.size} values give {data.size // args.block_size} "
             f"blocks of length {args.block_size}; need at least 3"
         )
-    series = block_maxima(data, args.block_size)
-    result = fit_mle(series.values)
+    maxima = block_maxima(data, args.block_size).values
+    if maxima.min() == maxima.max():
+        raise ValueError(f"{args.input}: all {maxima.size} block maxima of length "
+                         f"{args.block_size} equal {float(maxima[0])!r}; "
+                         "a GEV fit needs at least two distinct maxima")
+    result = fit_mle(maxima)
     record = {
         "gamma_hat": repr(result.theta_hat.gamma),
         "mu_hat": repr(result.theta_hat.mu),

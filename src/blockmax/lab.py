@@ -474,11 +474,12 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
         problems.append(f"member index {dist.gamma0} is not above -1")
     if config.replications < 1:
         problems.append("replications must be >= 1")
-    if not config.n_grid:
-        problems.append("n_grid is empty")
-    repeated = sorted({n for n in config.n_grid if config.n_grid.count(n) > 1})
-    if repeated:
-        problems.append(f"n_grid repeats {', '.join(map(str, repeated))}")
+    for key, values in (("n_grid", config.n_grid), ("checks", config.checks)):
+        if not values:
+            problems.append(f"{key} is empty")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            problems.append(f"{key} repeats {', '.join(map(str, repeated))}")
     if config.seed < 0:
         problems.append(f"seed must be >= 0, got {config.seed}")
     for check in config.checks:
@@ -510,6 +511,8 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
             problems.append("obstruction check requires a slow_growth rule")
         if dist is not None and not _obstruction_applies(dist):
             problems.append(_OBSTRUCTION_NEEDS)
+    elif config.slow_growth is not None:
+        problems.append("slow_growth is set but the obstruction check is not requested")
     if problems:
         raise ValueError("invalid study config:\n  - " + "\n  - ".join(problems))
     return dist

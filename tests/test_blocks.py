@@ -8,7 +8,6 @@ from blockmax import (
     GevParams,
     NormalizingConstants,
     block_maxima,
-    empirical_cdf,
     empirical_mean_loglik,
     gev_loglik_max,
     gev_sample,
@@ -20,7 +19,6 @@ from blockmax import (
     sample_iid,
     write_values,
 )
-from blockmax.blocks import denormalize
 
 
 class TestBlockMaxima:
@@ -89,30 +87,8 @@ class TestNormalize:
             normalized.values, (series.values - 100.0) / 100.0, rtol=1e-12,
         )
 
-    def test_roundtrip(self):
-        data = sample_iid(pareto(2.0), 4000, seed=22)
-        series = block_maxima(data, 50)
-        normalized = normalize(series, norm_constants(pareto(2.0), 50))
-        np.testing.assert_allclose(denormalize(normalized), series.values, rtol=0, atol=1e-12)
-
 
 class TestEmpiricalCdf:
-    def test_small_cases(self):
-        measure = EmpiricalMeasure.from_values([0.0, 1.0, 2.0])
-        assert empirical_cdf(measure, 1.0) == pytest.approx(2 / 3)
-        assert empirical_cdf(measure, -5.0) == 0.0
-        assert empirical_cdf(measure, 5.0) == 1.0
-
-    def test_right_continuous_at_jumps(self):
-        measure = EmpiricalMeasure.from_values([0.0, 1.0, 2.0])
-        assert empirical_cdf(measure, 1.0 - 1e-12) == pytest.approx(1 / 3)
-        assert empirical_cdf(measure, 1.0) == pytest.approx(2 / 3)
-
-    def test_gumbel_at_origin(self):
-        x = gev_sample(GevParams(0.0, 0.0, 1.0), 100_000, seed=5)
-        measure = EmpiricalMeasure.from_values(x)
-        assert empirical_cdf(measure, 0.0) == pytest.approx(math.exp(-1), abs=0.01)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalMeasure.from_values([])

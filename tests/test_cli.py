@@ -165,6 +165,15 @@ class TestFit:
     def test_missing_file(self, tmp_path):
         assert run("fit", "--in", tmp_path / "nope.txt", "--block-size", 2) == 2
 
+    def test_tied_block_maxima_name_the_file(self, tmp_path, capsys):
+        # the raw values differ, but every block of two has maximum 5
+        data = tmp_path / "ties.txt"
+        data.write_text("".join(f"{v}\n" for v in (1, 5, 2, 5, 3, 5, 4, 5, 0, 5)))
+        assert run("fit", "--in", data, "--block-size", 2) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"blockmax: error: {data}: all 5 block maxima of length 2 equal 5.0; "
+            "a GEV fit needs at least two distinct maxima"]
+
 
 class TestGof:
     def test_one_point(self, tmp_path, capsys):
@@ -320,6 +329,20 @@ seed = -1
         assert "index -1" in err and "replications" in err
         assert "seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("checks, problem", [
+        ("checks =\n", "checks is empty"),
+        ("checks = consistency, consistency\n", "checks repeats consistency"),
+        ("checks = consistency\nslow_growth = slow:c=1,offset=1\n",
+         "slow_growth is set but the obstruction check is not requested"),
+    ])
+    def test_checks_that_do_nothing_exit_two(self, tmp_path, capsys, checks, problem):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(STUDY_CFG.replace("checks = consistency, crucial_lemma\n", checks))
+        out = tmp_path / "out"
+        assert run("study", "--config", cfg, "--out", out) == 2
+        assert f"  - {problem}" in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
 
 class TestPlot:
     @pytest.fixture()
@@ -385,6 +408,7 @@ class NoScipy:
 
 
 sys.meta_path.insert(0, NoScipy())
+import blockmax
 from blockmax.cli import main
 
 out = Path(sys.argv[1])
@@ -405,6 +429,7 @@ for argv in commands:
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
 print(sorted(p.name for p in (out / "study").iterdir()))
+print(repr(blockmax.kl_divergence(blockmax.GevParams(0, 0, 1), blockmax.GevParams(0, 0, 2))))
 print(sum(1 for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -421,8 +446,10 @@ class TestWithoutScipy:
     def test_every_command_runs_without_scipy(self, tmp_path):
         proc = _python("-c", NO_SCIPY_RUN, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        files, scipy_modules = proc.stdout.splitlines()[-2:]
+        files, kl, scipy_modules = proc.stdout.splitlines()[-3:]
         assert files == "['crucial_lemma.csv', 'obstruction.csv', 'report.csv', 'summary.txt']"
+        assert float(kl) == blockmax.kl_divergence(blockmax.GevParams(0, 0, 1),
+                                                   blockmax.GevParams(0, 0, 2))
         assert scipy_modules == "0"
         assert (tmp_path / "plot.svg").read_text().startswith("<svg")
 

@@ -1,10 +1,12 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from blockmax import (
     FitResult,
@@ -14,12 +16,14 @@ from blockmax import (
     fit_mle,
     gev_loglik3,
     gev_loglik_grad_hess,
+    gev_quantile,
     gev_sample,
     is_feasible,
     kl_divergence,
     norm_constants,
     normalize,
     numeric_hessian,
+    params_support,
     pareto,
     pwm_init,
     sample_iid,
@@ -313,12 +317,53 @@ class TestClosedFormHessian:
             gev_loglik_grad_hess(GevParams(1.0, 0.0, 1.0), [0.5, -1.0])
 
 
+def _kl_by_quad(theta0, theta):
+    """scipy's adaptive quadrature of the same integrand over u in (0, 1)."""
+    s0, s1 = params_support(theta0), params_support(theta)
+    if s0.lower < s1.lower or s0.upper > s1.upper:
+        return math.inf
+
+    def integrand(u):
+        point = theta0.mu + theta0.sigma * gev_quantile(theta0.gamma, u)
+        return gev_loglik3(theta0, point) - gev_loglik3(theta, point)
+
+    value, _ = quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-10, epsrel=1e-10)
+    return max(float(value), 0.0)
+
+
+def _criterion_10_theta(rng):
+    return GevParams(rng.uniform(-0.8, 2.0), rng.uniform(-3, 3), rng.uniform(0.2, 3.0))
+
+
 class TestKlDivergence:
     def test_zero_on_diagonal(self):
         rng = np.random.default_rng(81)
         for _ in range(10):
-            theta = GevParams(rng.uniform(-0.8, 2.0), rng.uniform(-3, 3), rng.uniform(0.2, 3.0))
-            assert kl_divergence(theta, theta) == pytest.approx(0.0, abs=1e-10)
+            theta = _criterion_10_theta(rng)
+            assert kl_divergence(theta, theta) == 0.0
+
+    def test_matches_adaptive_quadrature(self, monkeypatch):
+        # pairs drawn as in criterion 10
+        rng = np.random.default_rng(83)
+        pairs = []
+        for _ in range(300):
+            theta0 = _criterion_10_theta(rng)
+            pairs.append((theta0, GevParams(
+                theta0.gamma + rng.choice([-1, 1]) * rng.uniform(0.01, 0.5),
+                theta0.mu + rng.choice([-1, 0, 1]) * rng.uniform(0.01, 1.0),
+                theta0.sigma * rng.uniform(0.5, 2.0),
+            )))
+        expected = [_kl_by_quad(theta0, theta) for theta0, theta in pairs]
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)  # the rule needs no quad
+        n_inf = 0
+        for (theta0, theta), want in zip(pairs, expected):
+            got = kl_divergence(theta0, theta)
+            if want == math.inf:
+                assert got == math.inf, (theta0, theta)
+                n_inf += 1
+            else:
+                assert 0.0 < got and abs(got - want) <= 1e-8 * want + 1e-10, (theta0, theta, got)
+        assert 0 < n_inf < len(pairs)
 
     def test_positive_for_shifted_gumbel(self):
         assert kl_divergence(GevParams(0.0, 0.0, 1.0), GevParams(0.0, 1.0, 1.0)) > 0.01

@@ -496,6 +496,23 @@ seed = -1
         for n in (100, 400):
             assert f"growth 'power:a=1e+10' has no finite block length at n={n}" in message
 
+    def test_checks_that_do_nothing_listed(self, tmp_path):
+        # a repeated check and a slow rule that no check reads, both named in one pass
+        path = self.write(tmp_path, """
+dist = cauchy
+n_grid = 100
+growth = poly_log:c=1,a=2
+replications = 2
+seed = 5
+checks = consistency, crucial_lemma, consistency
+slow_growth = slow:c=1,offset=1
+""")
+        with pytest.raises(ValueError) as err:
+            validate_study_config(parse_study_config(path))
+        problems = str(err.value).splitlines()[1:]
+        assert problems == ["  - checks repeats consistency",
+                            "  - slow_growth is set but the obstruction check is not requested"]
+
     def test_unknown_key_names_line(self, tmp_path):
         path = self.write(tmp_path, """dist = cauchy
 n_grid = 1000
