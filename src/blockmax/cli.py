@@ -23,14 +23,11 @@ from .gev import GevParams
 from .lab import (
     CrucialLemmaRow,
     ObstructionRow,
-    StudyReport,
-    StudyRow,
-    _study_errors,
     check_crucial_lemma,
     check_slow_growth_obstruction,
     csv_lines,
     parse_study_config,
-    read_csv,
+    render_study_svg,
     run_consistency_study,
     validate_study_config,
 )
@@ -147,7 +144,7 @@ def cmd_study(args, command_line: str) -> int:
             dist, config.n_grid, config.growth, config.replications, config.seed,
         )
         write("report.csv", report.csv_lines())
-        write("summary.txt", _summary_lines(report))
+        write("summary.txt", report.summary_lines())
     if "crucial_lemma" in config.checks:
         write("crucial_lemma.csv", csv_lines(CrucialLemmaRow, check_crucial_lemma(
             dist, config.n_grid, config.growth, config.replications, config.seed,
@@ -160,101 +157,8 @@ def cmd_study(args, command_line: str) -> int:
     return 0
 
 
-def _summary_lines(report: StudyReport) -> list[str]:
-    lines = [
-        f"study of {report.dist_spec} (gamma0 = {report.gamma0:g}), growth {report.growth}",
-        "per-n quartiles (q1 / median / q3) of the three error statistics:",
-    ]
-    for s in report.summary:
-        ge, me, se = s.gamma_err_quartiles, s.mu_err_quartiles, s.sigma_err_quartiles
-        lines.append(
-            f"n={s.n} m={s.m}: |gamma_err| {ge[0]:.4g}/{ge[1]:.4g}/{ge[2]:.4g}  "
-            f"|mu_err| {me[0]:.4g}/{me[1]:.4g}/{me[2]:.4g}  "
-            f"|sigma_err| {se[0]:.4g}/{se[1]:.4g}/{se[2]:.4g}  "
-            f"converged {100 * s.frac_converged:.1f}%  median_ks {s.median_ks:.4g}"
-        )
-    return lines
-
-
-# --- plotting -------------------------------------------------------------
-
-
-def _read_study_csv(path) -> tuple[float, list[StudyRow]]:
-    """Parse a study report CSV; returns (gamma0, rows)."""
-    meta, rows = read_csv(path, StudyRow)
-    if "gamma0" not in meta:
-        raise ValueError(f"{path}: missing '# gamma0:' metadata needed for error statistics")
-    return float(meta["gamma0"]), rows
-
-
-def _box_stats(values: np.ndarray) -> tuple[float, float, float, float, float]:
-    lo, q1, q2, q3, hi = np.percentile(values, [0, 25, 50, 75, 100])
-    return float(lo), float(q1), float(q2), float(q3), float(hi)
-
-
-def _svg_boxpanel(parts, x0, y0, width, height, title, n_values, stats):
-    """Append one panel of boxes (one per n) to the SVG fragment list."""
-    top = max(hi for *_, hi in stats)
-    top = top * 1.1 if top > 0 else 1.0
-    plot_h = height - 40
-    plot_w = width - 44
-    ax_x = x0 + 36
-
-    def sy(v):
-        return y0 + 10 + plot_h * (1.0 - v / top)
-
-    parts.append(f'<text x="{x0 + width / 2:.1f}" y="{y0 + 8:.1f}" text-anchor="middle" '
-                 f'font-size="12" font-weight="bold">{title}</text>')
-    parts.append(f'<line x1="{ax_x:.1f}" y1="{sy(0):.1f}" x2="{ax_x + plot_w:.1f}" '
-                 f'y2="{sy(0):.1f}" stroke="black" stroke-width="1"/>')
-    parts.append(f'<line x1="{ax_x:.1f}" y1="{sy(0):.1f}" x2="{ax_x:.1f}" '
-                 f'y2="{y0 + 10:.1f}" stroke="black" stroke-width="1"/>')
-    for frac in (0.0, 0.5, 1.0):
-        v = top * frac
-        parts.append(f'<text x="{ax_x - 4:.1f}" y="{sy(v) + 4:.1f}" text-anchor="end" '
-                     f'font-size="9">{v:.3g}</text>')
-    slot = plot_w / len(stats)
-    box_w = slot * 0.4
-    for i, ((lo, q1, q2, q3, hi), n) in enumerate(zip(stats, n_values)):
-        cx = ax_x + slot * (i + 0.5)
-        parts.append(f'<line x1="{cx:.1f}" y1="{sy(lo):.1f}" x2="{cx:.1f}" '
-                     f'y2="{sy(hi):.1f}" stroke="black" stroke-width="1"/>')
-        parts.append(f'<rect x="{cx - box_w / 2:.1f}" y="{sy(q3):.1f}" width="{box_w:.1f}" '
-                     f'height="{sy(q1) - sy(q3):.1f}" fill="#9ecae1" stroke="black"/>')
-        parts.append(f'<line x1="{cx - box_w / 2:.1f}" y1="{sy(q2):.1f}" '
-                     f'x2="{cx + box_w / 2:.1f}" y2="{sy(q2):.1f}" '
-                     f'stroke="black" stroke-width="2"/>')
-        parts.append(f'<text x="{cx:.1f}" y="{y0 + height - 12:.1f}" text-anchor="middle" '
-                     f'font-size="10">n={n}</text>')
-
-
-def render_study_svg(csv_path) -> str:
-    """Three box-summary panels of the normalized estimation errors."""
-    gamma0, rows = _read_study_csv(csv_path)
-    row_n = np.array([r.n for r in rows])
-    n_values = sorted({r.n for r in rows})
-    titles = ("|gamma_hat - gamma0|", "|mu_err|", "|sigma_ratio - 1|")
-    panel_w, panel_h, pad = 290, 280, 10
-    width = 3 * panel_w + 4 * pad
-    height = panel_h + 2 * pad
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for idx, (title, values) in enumerate(zip(titles, _study_errors(rows, gamma0))):
-        stats = [_box_stats(values[row_n == n]) for n in n_values]
-        parts.append(f'<g class="panel" id="panel-{idx}">')
-        _svg_boxpanel(parts, pad + idx * (panel_w + pad), pad, panel_w, panel_h,
-                      title, n_values, stats)
-        parts.append('</g>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def cmd_plot(args, command_line: str) -> int:
-    svg = render_study_svg(args.report)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    Path(args.out).write_text(render_study_svg(args.report), encoding="utf-8")
     return 0
 
 

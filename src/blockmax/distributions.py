@@ -297,20 +297,19 @@ def from_spec(spec: str) -> ReferenceDistribution:
         raise ValueError(f"missing parameter in spec '{spec}'") from exc
 
 
-def quantile_matched_constants(dist: ReferenceDistribution, m: int,
-                               x_ref: float = 1.0) -> tuple[float, float]:
+def quantile_matched_constants(dist: ReferenceDistribution, m: int) -> tuple[float, float]:
     """Alternative admissible constants read off exact quantiles of F^m.
 
     Location matches the m-th power CDF at probability exp(-1) (the GEV
-    value at 0); scale comes from the quantile spacing at ``x_ref``.
-    Under the normalizing-sequence equivalence these converge to the
-    exact constants: ratio -> 1, normalized gap -> 0.
+    value at 0); scale is the quantile spacing between the GEV values 0
+    and 1.  Under the normalizing-sequence equivalence these converge to
+    the exact constants: ratio -> 1, normalized gap -> 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     b_alt = float(dist.quantile(math.exp(-1.0 / m)))
-    p_ref = float(gev_cdf(dist.gamma0, x_ref))
+    p_ref = float(gev_cdf(dist.gamma0, 1.0))
     if not 0.0 < p_ref < 1.0:
-        raise ValueError("x_ref must be interior to the limit support")
-    a_alt = (float(dist.quantile(p_ref ** (1.0 / m))) - b_alt) / x_ref
-    return a_alt, b_alt
+        raise ValueError(f"the reference point 1 is not interior to the limit support "
+                         f"of gamma0 = {dist.gamma0!r}")
+    return float(dist.quantile(p_ref ** (1.0 / m))) - b_alt, b_alt

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockMaximaSeries, _mean_loglik, check_finite
+from .blocks import _mean_loglik, check_finite
 from .gev import (
     EULER_GAMMA,
     GevParams,
@@ -64,20 +64,14 @@ class FitResult:
             raise ValueError(f"shape estimate must be > -1, got {self.theta_hat.gamma}")
 
 
-def _as_values(series) -> np.ndarray:
-    if isinstance(series, BlockMaximaSeries):
-        return np.asarray(series.values, dtype=float)
-    return np.asarray(series, dtype=float)
-
-
 def sample_loglik(theta: GevParams, series) -> float:
     """Mean log-likelihood over the observations; -inf if any is infeasible."""
-    return _mean_loglik(theta, _as_values(series))
+    return _mean_loglik(theta, np.asarray(series, dtype=float))
 
 
 def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
     """Mean analytic gradient of the log-likelihood, shape (3,)."""
-    x = _as_values(series)
+    x = np.asarray(series, dtype=float)
     return np.atleast_2d(gev_loglik_gradient(theta, x)).mean(axis=0)
 
 
@@ -88,7 +82,7 @@ def feasibility_margin(theta: GevParams, series) -> float:
     Each rounded step from x to 1 + gamma*z is monotone in x, so the
     minimum sits at the smallest or the largest observation, bit for bit.
     """
-    x = _as_values(series)
+    x = np.asarray(series, dtype=float)
     return min(_support_factor(theta.gamma, (float(v) - theta.mu) / theta.sigma)[1]
                for v in (x.min(), x.max()))
 
@@ -117,7 +111,7 @@ def pwm_init(series) -> GevParams:
     shape is clamped into a conservative sub-range and the result is
     repaired into strict feasibility so the search starts finite.
     """
-    x = np.sort(_as_values(series))
+    x = np.sort(np.asarray(series, dtype=float))
     n = x.size
     if n < 3:
         raise ValueError("need at least 3 observations")
@@ -225,7 +219,7 @@ def fit_mle(series, init: Optional[GevParams] = None) -> FitResult:
     outside the feasible region (or with shape outside (-1, 10]) score
     -inf and are never accepted.
     """
-    x = _as_values(series)
+    x = np.asarray(series, dtype=float)
     if x.size < 3:
         raise ValueError("need at least 3 observations to fit three parameters")
     check_finite(x)
@@ -283,7 +277,7 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     Step sizes are relative, 1e-4 * (1 + |component|), balancing
     truncation against round-off for a twice-differenced mean of logs.
     """
-    x = _as_values(series)
+    x = np.asarray(series, dtype=float)
     vec = theta.as_array()
     h = 1e-4 * (1.0 + np.abs(vec))
 

@@ -5,6 +5,8 @@ renders them as falsifiable finite-sample statements: medians of error
 statistics over independent replications, tracked along a growing grid
 of sample sizes.  All randomness flows from one root seed through
 per-(cell, replication) spawn keys, so reports are byte-reproducible.
+The lab also owns the format of every study file: the CSV rows, the
+``summary.txt`` text and the SVG box plot of a report.
 """
 from __future__ import annotations
 
@@ -98,14 +100,14 @@ class GrowthRule:
         return GrowthRule(kind, **params)
 
 
-def poly_log_growth(c: float = 1.0, a: float = 2.0) -> GrowthRule:
+def poly_log_growth() -> GrowthRule:
     """Default schedule m(n) = ceil((log n)^2): fast enough, cheap in draws."""
-    return GrowthRule("poly_log", c=c, a=a)
+    return GrowthRule("poly_log", c=1.0, a=2.0)
 
 
-def slow_growth(c: float = 1.0, offset: int = 1) -> GrowthRule:
+def slow_growth() -> GrowthRule:
     """m(n) = ceil(log log n) + 1: grows, but slower than log n."""
-    return GrowthRule("slow", c=c, offset=offset)
+    return GrowthRule("slow", c=1.0, offset=1)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,6 @@ def read_csv(path, row_type) -> tuple[dict[str, str], list]:
 class StudySummary:
     n: int
     m: int
-    replications: int
     gamma_err_quartiles: tuple[float, float, float]
     mu_err_quartiles: tuple[float, float, float]
     sigma_err_quartiles: tuple[float, float, float]
@@ -190,12 +191,27 @@ class StudyReport:
     dist_spec: str
     gamma0: float
     growth: str
-    seed: int
     rows: list[StudyRow]
     summary: list[StudySummary]
 
     def csv_lines(self) -> list[str]:
         return csv_lines(StudyRow, self.rows)
+
+    def summary_lines(self) -> list[str]:
+        """The text of ``summary.txt``: per-n quartiles of the three error statistics."""
+        lines = [
+            f"study of {self.dist_spec} (gamma0 = {self.gamma0:g}), growth {self.growth}",
+            "per-n quartiles (q1 / median / q3) of the three error statistics:",
+        ]
+        for s in self.summary:
+            ge, me, se = s.gamma_err_quartiles, s.mu_err_quartiles, s.sigma_err_quartiles
+            lines.append(
+                f"n={s.n} m={s.m}: |gamma_err| {ge[0]:.4g}/{ge[1]:.4g}/{ge[2]:.4g}  "
+                f"|mu_err| {me[0]:.4g}/{me[1]:.4g}/{me[2]:.4g}  "
+                f"|sigma_err| {se[0]:.4g}/{se[1]:.4g}/{se[2]:.4g}  "
+                f"converged {100 * s.frac_converged:.1f}%  median_ks {s.median_ks:.4g}"
+            )
+        return lines
 
 
 def _cells(
@@ -227,16 +243,12 @@ def _cells(
         yield int(n), constants, reps(int(n), constants, cell)
 
 
-def _quartiles(values) -> tuple[float, float, float]:
-    q1, q2, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
-    return float(q1), float(q2), float(q3)
-
-
-def _study_errors(rows: Sequence[StudyRow], gamma0: float) -> np.ndarray:
-    """The three error statistics of each row, shape (3, len(rows)):
+def _error_boxes(rows: Sequence[StudyRow], gamma0: float) -> list[tuple[float, ...]]:
+    """(min, q1, median, q3, max) over ``rows`` of each error statistic:
     |gamma_hat - gamma0|, |mu_err| and |sigma_ratio - 1|."""
-    return np.abs(np.array([(r.gamma_hat - gamma0, r.mu_err, r.sigma_ratio - 1.0)
-                            for r in rows], dtype=float).T)
+    errors = np.abs(np.array([(r.gamma_hat - gamma0, r.mu_err, r.sigma_ratio - 1.0)
+                              for r in rows], dtype=float).T)
+    return [tuple(map(float, np.percentile(e, [0, 25, 50, 75, 100]))) for e in errors]
 
 
 def run_consistency_study(
@@ -276,8 +288,7 @@ def run_consistency_study(
             ))
         rows.extend(cell_rows)
         summaries.append(StudySummary(
-            n, constants.m, replications,
-            *(_quartiles(errors) for errors in _study_errors(cell_rows, dist.gamma0)),
+            n, constants.m, *(box[1:4] for box in _error_boxes(cell_rows, dist.gamma0)),
             frac_converged=sum(r.converged for r in cell_rows) / replications,
             median_ks=float(np.median([r.ks for r in cell_rows])),
         ))
@@ -285,7 +296,6 @@ def run_consistency_study(
         dist_spec=dist.spec or dist.name,
         gamma0=dist.gamma0,
         growth=growth.describe(),
-        seed=int(seed),
         rows=rows,
         summary=summaries,
     )
@@ -405,6 +415,72 @@ def check_norm_equivalence(
             gap=float((b_alt - exact.b_m) / exact.a_m),
         ))
     return out
+
+
+# --- plotting ------------------------------------------------------------
+
+
+def _svg_boxpanel(parts, x0, y0, width, height, title, n_values, stats):
+    """Append one panel of boxes (one per n) to the SVG fragment list."""
+    top = max(hi for *_, hi in stats)
+    top = top * 1.1 if top > 0 else 1.0
+    plot_h = height - 40
+    plot_w = width - 44
+    ax_x = x0 + 36
+
+    def sy(v):
+        return y0 + 10 + plot_h * (1.0 - v / top)
+
+    parts.append(f'<text x="{x0 + width / 2:.1f}" y="{y0 + 8:.1f}" text-anchor="middle" '
+                 f'font-size="12" font-weight="bold">{title}</text>')
+    parts.append(f'<line x1="{ax_x:.1f}" y1="{sy(0):.1f}" x2="{ax_x + plot_w:.1f}" '
+                 f'y2="{sy(0):.1f}" stroke="black" stroke-width="1"/>')
+    parts.append(f'<line x1="{ax_x:.1f}" y1="{sy(0):.1f}" x2="{ax_x:.1f}" '
+                 f'y2="{y0 + 10:.1f}" stroke="black" stroke-width="1"/>')
+    for frac in (0.0, 0.5, 1.0):
+        v = top * frac
+        parts.append(f'<text x="{ax_x - 4:.1f}" y="{sy(v) + 4:.1f}" text-anchor="end" '
+                     f'font-size="9">{v:.3g}</text>')
+    slot = plot_w / len(stats)
+    box_w = slot * 0.4
+    for i, ((lo, q1, q2, q3, hi), n) in enumerate(zip(stats, n_values)):
+        cx = ax_x + slot * (i + 0.5)
+        parts.append(f'<line x1="{cx:.1f}" y1="{sy(lo):.1f}" x2="{cx:.1f}" '
+                     f'y2="{sy(hi):.1f}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<rect x="{cx - box_w / 2:.1f}" y="{sy(q3):.1f}" width="{box_w:.1f}" '
+                     f'height="{sy(q1) - sy(q3):.1f}" fill="#9ecae1" stroke="black"/>')
+        parts.append(f'<line x1="{cx - box_w / 2:.1f}" y1="{sy(q2):.1f}" '
+                     f'x2="{cx + box_w / 2:.1f}" y2="{sy(q2):.1f}" '
+                     f'stroke="black" stroke-width="2"/>')
+        parts.append(f'<text x="{cx:.1f}" y="{y0 + height - 12:.1f}" text-anchor="middle" '
+                     f'font-size="10">n={n}</text>')
+
+
+def render_study_svg(csv_path) -> str:
+    """Three box-summary panels of the normalized estimation errors in a
+    study's ``report.csv``, one box per n."""
+    meta, rows = read_csv(csv_path, StudyRow)
+    if "gamma0" not in meta:
+        raise ValueError(f"{csv_path}: missing '# gamma0:' metadata needed for error statistics")
+    gamma0 = float(meta["gamma0"])
+    n_values = sorted({r.n for r in rows})
+    boxes = [_error_boxes([r for r in rows if r.n == n], gamma0) for n in n_values]
+    titles = ("|gamma_hat - gamma0|", "|mu_err|", "|sigma_ratio - 1|")
+    panel_w, panel_h, pad = 290, 280, 10
+    width = 3 * panel_w + 4 * pad
+    height = panel_h + 2 * pad
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for idx, (title, stats) in enumerate(zip(titles, zip(*boxes))):
+        parts.append(f'<g class="panel" id="panel-{idx}">')
+        _svg_boxpanel(parts, pad + idx * (panel_w + pad), pad, panel_w, panel_h,
+                      title, n_values, stats)
+        parts.append('</g>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 # --- study configuration files -------------------------------------------

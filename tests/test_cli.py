@@ -262,6 +262,21 @@ class TestStudy:
         for name, payload in first.items():
             assert (out / name).read_bytes() == payload
 
+    def test_summary_text_is_the_report_summary(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(STUDY_CFG)
+        out = tmp_path / "out"
+        assert run("study", "--config", cfg, "--out", out) == 0
+        config = blockmax.parse_study_config(cfg)
+        report = blockmax.run_consistency_study(
+            blockmax.from_spec(config.dist_spec), config.n_grid, config.growth,
+            config.replications, config.seed,
+        )
+        lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        assert lines[:len(header)] == header and len(header) > 0
+        assert lines[len(header):] == report.summary_lines()
+
     def test_report_schema(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(STUDY_CFG)

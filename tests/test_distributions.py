@@ -314,3 +314,8 @@ class TestNormalizingEquivalence:
         )
         assert abs(rows[0].ratio - 1.0) < 0.01
         assert abs(rows[0].gap) < 0.01
+
+    def test_quantile_matched_needs_an_interior_reference_point(self):
+        # for gamma0 <= -1 the limit support ends at -1/gamma0 <= 1
+        with pytest.raises(ValueError, match="reference point 1 is not interior"):
+            quantile_matched_constants(gev_reference(-1.5), 100)

@@ -1,4 +1,5 @@
-"""Every public name of ``blockmax`` has a user.
+"""Every public name of ``blockmax`` has a user, and the command line
+uses only public ones.
 
 A name in ``blockmax.__all__`` stays only if the package itself uses it
 outside its own definition, the README shows it, or an acceptance
@@ -50,3 +51,14 @@ def test_every_export_has_a_user():
         if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
             unused.append(name)
     assert unused == [], "exported, but used by neither src/blockmax, README.md nor a criterion"
+
+
+def test_cli_imports_no_private_package_name():
+    """``cli.py`` is argument wiring over the package's public names."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "blockmax")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

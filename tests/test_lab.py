@@ -30,7 +30,8 @@ from blockmax import (
     slow_growth,
     validate_study_config,
 )
-from blockmax.lab import CrucialLemmaRow, ObstructionRow, StudyRow, csv_lines, read_csv
+from blockmax.lab import (CrucialLemmaRow, ObstructionRow, StudyRow, _error_boxes, csv_lines,
+                          read_csv)
 
 EULER = 0.5772156649015329
 
@@ -142,6 +143,19 @@ class TestConsistencyStudy:
         for s in small_report.summary:
             if s.n >= 400:
                 assert s.frac_converged >= 0.95
+
+    def test_summary_is_the_middle_of_the_plot_box(self, small_report):
+        # summary.txt and the plot are two views of one per-n distribution
+        for s in small_report.summary:
+            rows = [r for r in small_report.rows if r.n == s.n]
+            boxes = _error_boxes(rows, small_report.gamma0)
+            errors = [[abs(r.gamma_hat - small_report.gamma0) for r in rows],
+                      [abs(r.mu_err) for r in rows], [abs(r.sigma_ratio - 1.0) for r in rows]]
+            triples = (s.gamma_err_quartiles, s.mu_err_quartiles, s.sigma_err_quartiles)
+            for triple, box, values in zip(triples, boxes, errors, strict=True):
+                assert (box[0], box[4]) == (min(values), max(values))
+                assert list(box) == sorted(box)
+                assert [q.hex() for q in triple] == [q.hex() for q in box[1:4]]
 
     def test_deterministic_bytes(self, small_report):
         again = run_consistency_study(
