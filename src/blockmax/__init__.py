@@ -33,8 +33,6 @@ from .distributions import (
 )
 from .blocks import (
     BlockMaximaSeries,
-    EmpiricalMeasure,
-    NormalizedSeries,
     block_maxima,
     empirical_mean_loglik,
     ks_distance,

@@ -21,32 +21,9 @@ class BlockMaximaSeries:
 
     values: np.ndarray
     block_length: int
-    source_length: int
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class NormalizedSeries:
-    """Block maxima mapped through x -> (x - b_m) / a_m."""
-
-    values: np.ndarray
-    constants: NormalizingConstants
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Equal-weight point measure; points kept sorted."""
-
-    points: np.ndarray
-
-    @staticmethod
-    def from_values(values) -> "EmpiricalMeasure":
-        values = np.sort(np.asarray(values, dtype=float))
-        if values.size == 0:
-            raise ValueError("empirical measure needs at least one point")
-        return EmpiricalMeasure(points=values)
 
 
 def check_finite(values: np.ndarray, where: str = "") -> None:
@@ -70,28 +47,33 @@ def block_maxima(data, m: int) -> BlockMaximaSeries:
     if n_blocks == 0:
         raise ValueError(f"data length {data.size} is shorter than one block of length {m}")
     maxima = data[: n_blocks * m].reshape(n_blocks, m).max(axis=1)
-    return BlockMaximaSeries(values=maxima, block_length=int(m), source_length=int(data.size))
+    return BlockMaximaSeries(values=maxima, block_length=int(m))
 
 
-def normalize(series: BlockMaximaSeries, constants: NormalizingConstants) -> NormalizedSeries:
-    """Center by b_m and rescale by a_m; block lengths must agree."""
+def normalize(series: BlockMaximaSeries, constants: NormalizingConstants) -> np.ndarray:
+    """The maxima centered by b_m and rescaled by a_m; block lengths must agree."""
     if constants.m != series.block_length:
         raise ValueError(
             f"constants are for block length {constants.m}, series has {series.block_length}"
         )
-    return NormalizedSeries(
-        values=(series.values - constants.b_m) / constants.a_m,
-        constants=constants,
-    )
+    return (series.values - constants.b_m) / constants.a_m
 
 
-def ks_distance(measure: EmpiricalMeasure, gamma: float) -> float:
-    """Exact sup-distance between the empirical CDF and the GEV CDF.
+def _sorted_points(values) -> np.ndarray:
+    """The points of an equal-weight empirical measure, sorted."""
+    points = np.sort(np.asarray(values, dtype=float))
+    if points.size == 0:
+        raise ValueError("empirical measure needs at least one point")
+    return points
+
+
+def ks_distance(values, gamma: float) -> float:
+    """Exact sup-distance between the empirical CDF of ``values`` and the GEV CDF.
 
     The supremum of a step-versus-continuous difference is attained at a
     jump, so both one-sided gaps are evaluated at every order statistic.
     """
-    x = measure.points
+    x = _sorted_points(values)
     n = x.size
     f = np.atleast_1d(gev_cdf(gamma, x))
     steps_hi = np.arange(1, n + 1) / n
@@ -111,10 +93,11 @@ def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
         return float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
 
 
-def empirical_mean_loglik(measure: EmpiricalMeasure, params: GevParams) -> float:
-    """Mean log-likelihood over the point measure; -inf if any point is
-    outside the support of ``params``."""
-    return _mean_loglik(params, measure.points)
+def empirical_mean_loglik(values, params: GevParams) -> float:
+    """Mean log-likelihood over the empirical measure of ``values``; -inf if
+    any point is outside the support of ``params``.  The sum runs in sorted
+    order, so the result does not depend on the order of the points."""
+    return _mean_loglik(params, _sorted_points(values))
 
 
 def read_values(path) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blocks import EmpiricalMeasure, block_maxima, ks_distance, read_values, write_values
+from .blocks import block_maxima, ks_distance, read_values, write_values
 from .distributions import from_spec, sample_iid
 from .fit import fit_mle
 from .gev import GevParams
@@ -63,7 +63,7 @@ def cmd_blocks(args, command_line: str) -> int:
     write_values(args.out, series.values, _meta_lines(command_line, {
         "block_size": series.block_length,
         "n_blocks": len(series),
-        "source_length": series.source_length,
+        "source_length": data.size,
     }))
     return 0
 
@@ -116,7 +116,7 @@ def cmd_gof(args, command_line: str) -> int:
         raise ValueError(f"{args.input}: no data values found")
     params = GevParams(args.gamma, args.mu, args.sigma)
     standardized = (data - params.mu) / params.sigma
-    distance = ks_distance(EmpiricalMeasure.from_values(standardized), params.gamma)
+    distance = ks_distance(standardized, params.gamma)
     sys.stdout.write(f"n = {data.size}\nks = {distance!r}\n")
     return 0
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .blocks import (
     BlockMaximaSeries,
-    EmpiricalMeasure,
     block_maxima,  # noqa: F401  unused here; benchmarks/tracing.py wraps this binding
     empirical_mean_loglik,
     ks_distance,
@@ -235,7 +234,7 @@ def _cells(
         m = constants.m
         for rep in range(replications):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
-            series = BlockMaximaSeries(sample_iid(dist, n, rng, m), m, n * m)
+            series = BlockMaximaSeries(sample_iid(dist, n, rng, m), m)
             yield series, normalize(series, constants)
 
     for cell, n in enumerate(n_grid):
@@ -274,7 +273,6 @@ def run_consistency_study(
         cell_rows: list[StudyRow] = []
         for rep, (series, normalized) in enumerate(reps):
             result = fit_mle(series.values)
-            measure = EmpiricalMeasure.from_values(normalized.values)
             cell_rows.append(StudyRow(
                 n=n,
                 m=constants.m,
@@ -283,8 +281,8 @@ def run_consistency_study(
                 mu_err=(result.theta_hat.mu - constants.b_m) / constants.a_m,
                 sigma_ratio=result.theta_hat.sigma / constants.a_m,
                 converged=result.converged,
-                ks=ks_distance(measure, dist.gamma0),
-                mean_ll_truth=empirical_mean_loglik(measure, truth),
+                ks=ks_distance(normalized, dist.gamma0),
+                mean_ll_truth=empirical_mean_loglik(normalized, truth),
             ))
         rows.extend(cell_rows)
         summaries.append(StudySummary(
@@ -340,8 +338,7 @@ def check_crucial_lemma(
     truth = GevParams(dist.gamma0, 0.0, 1.0)
     out: list[CrucialLemmaRow] = []
     for n, constants, reps in _cells(dist, n_grid, growth, replications, seed, 1):
-        values = [empirical_mean_loglik(EmpiricalMeasure.from_values(normalized.values), truth)
-                  for _, normalized in reps]
+        values = [empirical_mean_loglik(normalized, truth) for _, normalized in reps]
         gaps = [abs(v - target) if math.isfinite(v) else math.inf for v in values]
         out.append(CrucialLemmaRow(
             n=n, m=constants.m, median_gap=float(np.median(gaps)),
@@ -384,7 +381,7 @@ def check_slow_growth_obstruction(
     if not _obstruction_applies(dist):
         raise ValueError(_OBSTRUCTION_NEEDS)
     columns = [[(constants.m,
-                 float(np.median([float(np.min(normalized.values)) for _, normalized in reps])))
+                 float(np.median([float(np.min(normalized)) for _, normalized in reps])))
                 for _, constants, reps in _cells(dist, n_grid, rule, replications, seed, stream)]
                for stream, rule in ((2, slow), (3, fast))]
     return [ObstructionRow(n=int(n), m_slow=m_slow, median_min_slow=slow_min,
@@ -462,7 +459,17 @@ def render_study_svg(csv_path) -> str:
     meta, rows = read_csv(csv_path, StudyRow)
     if "gamma0" not in meta:
         raise ValueError(f"{csv_path}: missing '# gamma0:' metadata needed for error statistics")
-    gamma0 = float(meta["gamma0"])
+    try:
+        gamma0 = float(meta["gamma0"])
+    except ValueError:
+        gamma0 = math.nan
+    if not math.isfinite(gamma0):
+        raise ValueError(f"{csv_path}: '# gamma0:' must be a finite number, got '{meta['gamma0']}'")
+    for i, row in enumerate(rows, start=1):
+        for column in ("gamma_hat", "mu_err", "sigma_ratio"):
+            if not math.isfinite(getattr(row, column)):
+                raise ValueError(f"{csv_path}: row {i} (n={row.n}, rep={row.rep}) has "
+                                 f"non-finite {column} {getattr(row, column)!r}")
     n_values = sorted({r.n for r in rows})
     boxes = [_error_boxes([r for r in rows if r.n == n], gamma0) for n in n_values]
     titles = ("|gamma_hat - gamma0|", "|mu_err|", "|sigma_ratio - 1|")

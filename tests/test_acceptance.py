@@ -13,7 +13,6 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from blockmax import (
-    EmpiricalMeasure,
     GevParams,
     beta_tail,
     block_maxima,
@@ -167,8 +166,7 @@ def test_criterion_05_ks_distance_trend():
                     np.random.SeedSequence(SEED, spawn_key=(5, cell, rep)))
                 data = sample_iid(dist, n * m, rng)
                 normalized = normalize(block_maxima(data, m), constants)
-                ks.append(ks_distance(
-                    EmpiricalMeasure.from_values(normalized.values), dist.gamma0))
+                ks.append(ks_distance(normalized, dist.gamma0))
             medians.append(float(np.median(ks)))
         if not (medians[0] > medians[1] > medians[2]):
             failures.append(f"{dist.name}: {medians}")

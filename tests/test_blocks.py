@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmax import (
-    EmpiricalMeasure,
     GevParams,
     NormalizingConstants,
     block_maxima,
@@ -26,7 +27,6 @@ class TestBlockMaxima:
         series = block_maxima([1, 3, 2, 5, 4, 0], 2)
         np.testing.assert_array_equal(series.values, [3, 5, 4])
         assert series.block_length == 2
-        assert series.source_length == 6
 
     def test_remainder_dropped(self):
         series = block_maxima([1, 3, 2, 5, 4, 0], 4)
@@ -67,12 +67,12 @@ class TestNormalize:
     def test_elementwise(self):
         series = block_maxima([3.0, 5.0, 4.0], 1)
         constants = NormalizingConstants(a_m=2.0, b_m=3.0, m=1)
-        np.testing.assert_allclose(normalize(series, constants).values, [0.0, 1.0, 0.5])
+        np.testing.assert_allclose(normalize(series, constants), [0.0, 1.0, 0.5])
 
     def test_identity_constants(self):
         series = block_maxima([3.0, 5.0, 4.0], 1)
         constants = NormalizingConstants(a_m=1.0, b_m=0.0, m=1)
-        np.testing.assert_array_equal(normalize(series, constants).values, series.values)
+        np.testing.assert_array_equal(normalize(series, constants), series.values)
 
     def test_block_length_mismatch(self):
         series = block_maxima(np.arange(10.0), 2)
@@ -84,63 +84,68 @@ class TestNormalize:
         series = block_maxima(data, 100)
         normalized = normalize(series, norm_constants(pareto(1.0), 100))
         np.testing.assert_allclose(
-            normalized.values, (series.values - 100.0) / 100.0, rtol=1e-12,
+            normalized, (series.values - 100.0) / 100.0, rtol=1e-12,
         )
 
 
 class TestEmpiricalCdf:
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalMeasure.from_values([])
+        for functional in (lambda x: ks_distance(x, 0.0),
+                           lambda x: empirical_mean_loglik(x, GevParams(0.0, 0.0, 1.0))):
+            with pytest.raises(ValueError, match="needs at least one point"):
+                functional(np.array([]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-5.0, 50.0), min_size=1, max_size=40), st.randoms())
+    def test_functionals_ignore_the_order_of_the_points(self, points, random):
+        shuffled = list(points)
+        random.shuffle(shuffled)
+        theta = GevParams(0.4, 0.5, 1.5)
+        for x in (shuffled, np.array(shuffled)):
+            assert ks_distance(x, 0.4).hex() == ks_distance(points, 0.4).hex()
+            assert (empirical_mean_loglik(x, theta).hex()
+                    == empirical_mean_loglik(points, theta).hex())
 
 
 class TestKsDistance:
     def test_single_point(self):
-        measure = EmpiricalMeasure.from_values([0.0])
         expected = max(math.exp(-1), 1 - math.exp(-1))
-        assert ks_distance(measure, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert ks_distance([0.0], 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_exact_sample_small(self):
         x = gev_sample(GevParams(0.5, 0.0, 1.0), 100_000, seed=6)
-        measure = EmpiricalMeasure.from_values(x)
-        assert ks_distance(measure, 0.5) < 0.01
+        assert ks_distance(x, 0.5) < 0.01
 
     def test_misspecified_sample_large(self):
         x = gev_sample(GevParams(0.5, 0.0, 1.0), 100_000, seed=6)
-        measure = EmpiricalMeasure.from_values(x)
-        assert ks_distance(measure, 2.0) > 0.05
+        assert ks_distance(x, 2.0) > 0.05
 
     def test_sup_realized_on_both_sides(self):
         # one point far left: the gap just before the jump dominates
-        measure = EmpiricalMeasure.from_values([5.0])
-        assert ks_distance(measure, 0.0) == pytest.approx(math.exp(-math.exp(-5.0)), abs=1e-12)
+        assert ks_distance([5.0], 0.0) == pytest.approx(math.exp(-math.exp(-5.0)), abs=1e-12)
 
 
 class TestEmpiricalMeanLoglik:
     def test_single_point(self):
-        measure = EmpiricalMeasure.from_values([0.0])
-        assert empirical_mean_loglik(measure, GevParams(0.0, 0.0, 1.0)) == -1.0
+        assert empirical_mean_loglik([0.0], GevParams(0.0, 0.0, 1.0)) == -1.0
 
     def test_infeasible_point(self):
-        measure = EmpiricalMeasure.from_values([-2.0, 0.0])
-        assert empirical_mean_loglik(measure, GevParams(1.0, 0.0, 1.0)) == -math.inf
+        assert empirical_mean_loglik([-2.0, 0.0], GevParams(1.0, 0.0, 1.0)) == -math.inf
 
     def test_limit_value_for_exact_draws(self):
         from blockmax import expected_loglik
 
         x = gev_sample(GevParams(0.0, 0.0, 1.0), 100_000, seed=12)
-        measure = EmpiricalMeasure.from_values(x)
-        value = empirical_mean_loglik(measure, GevParams(0.0, 0.0, 1.0))
+        value = empirical_mean_loglik(x, GevParams(0.0, 0.0, 1.0))
         assert value == pytest.approx(expected_loglik(0.0), abs=0.02)
 
     def test_bounded_by_max_loglik(self):
         rng = np.random.default_rng(13)
         x = gev_sample(GevParams(0.3, 0.0, 1.0), 500, seed=14)
-        measure = EmpiricalMeasure.from_values(x)
         for _ in range(50):
             theta = GevParams(rng.uniform(-0.9, 2.0), rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
             bound = gev_loglik_max(theta.gamma) - math.log(theta.sigma)
-            assert empirical_mean_loglik(measure, theta) <= bound + 1e-12
+            assert empirical_mean_loglik(x, theta) <= bound + 1e-12
 
 
 class TestGlivenkoCantelliSurrogate:
@@ -159,8 +164,7 @@ class TestGlivenkoCantelliSurrogate:
                         np.random.SeedSequence(77, spawn_key=(cell, rep)))
                     data = sample_iid(dist, n * m, rng)
                     normalized = normalize(block_maxima(data, m), constants)
-                    distances.append(ks_distance(
-                        EmpiricalMeasure.from_values(normalized.values), dist.gamma0))
+                    distances.append(ks_distance(normalized, dist.gamma0))
                 medians.append(float(np.median(distances)))
             assert medians[0] > medians[1] > medians[2], (dist.name, medians)
 

@@ -105,6 +105,15 @@ class TestBlocks:
         assert "1 NaN and 1 infinite values among 4 observations" in err[0]
         assert not blk.exists()
 
+    def test_header_counts_input_values(self, tmp_path):
+        sim = tmp_path / "sim.txt"
+        blk = tmp_path / "blk.txt"
+        run("simulate", "--dist", "exponential", "--n", 103, "--seed", 5, "--out", sim)
+        assert run("blocks", "--in", sim, "--block-size", 10, "--out", blk) == 0
+        header = [line for line in blk.read_text().splitlines() if line.startswith("#")]
+        assert "# n_blocks: 10" in header
+        assert "# source_length: 103" in header
+
 
 class TestFit:
     def test_pareto_block_fit(self, tmp_path, capsys):
@@ -391,6 +400,43 @@ class TestPlot:
         bad.write_text("# gamma0: 1.0\nn,gamma_hat\n100,1.0\n")
         assert run("plot", "--report", bad, "--out", tmp_path / "p.svg") == 2
         assert "header" in capsys.readouterr().err
+
+    @staticmethod
+    def _with_cell(report_csv, path, column, value):
+        """Copy of ``report_csv`` with ``column`` of the second data row set to ``value``."""
+        lines = report_csv.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("n,"))
+        cells = lines[at + 2].split(",")
+        cells[lines[at].split(",").index(column)] = value
+        lines[at + 2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["gamma_hat", "mu_err", "sigma_ratio"])
+    def test_non_finite_error_column_rejected(self, tmp_path, capsys, report_csv, column, value):
+        bad = self._with_cell(report_csv, tmp_path / "bad.csv", column, value)
+        svg = tmp_path / "p.svg"
+        assert run("plot", "--report", bad, "--out", svg) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "row 2 " in err and f"non-finite {column}" in err
+        assert not svg.exists()
+
+    def test_infinite_mean_loglik_plots(self, tmp_path, report_csv):
+        report = self._with_cell(report_csv, tmp_path / "r.csv", "mean_ll_truth", "-inf")
+        assert run("plot", "--report", report, "--out", tmp_path / "p.svg") == 0
+
+    @pytest.mark.parametrize("gamma0", ["abc", "nan", "inf"])
+    def test_bad_gamma0_named(self, tmp_path, capsys, report_csv, gamma0):
+        text = report_csv.read_text()
+        assert "# gamma0: 1.0\n" in text
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace("# gamma0: 1.0\n", f"# gamma0: {gamma0}\n"))
+        svg = tmp_path / "p.svg"
+        assert run("plot", "--report", bad, "--out", svg) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "gamma0" in err and gamma0 in err
+        assert not svg.exists()
 
 
 def test_unknown_command_exit_two():

@@ -58,7 +58,7 @@ class TestSampleLoglik:
                     (theta.mu - constants.b_m) / constants.a_m,
                     theta.sigma / constants.a_m,
                 ),
-                normalized.values,
+                normalized,
             ) - math.log(constants.a_m)
             if math.isfinite(lhs) or math.isfinite(rhs):
                 assert lhs == pytest.approx(rhs, abs=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import beta
 
 from blockmax import (
-    EmpiricalMeasure,
     GevParams,
     GrowthRule,
     cauchy,
@@ -239,20 +238,19 @@ class TestCellLoop:
         for rep in range(3):
             values, normalized, constants = _draw_by_hand(dist, 120, m, 17, 0, 1, rep)
             fit = fit_mle(values)
-            measure = EmpiricalMeasure.from_values(normalized)
             assert report.rows[3 + rep] == StudyRow(
                 n=120, m=m, rep=rep, gamma_hat=fit.theta_hat.gamma,
                 mu_err=(fit.theta_hat.mu - constants.b_m) / constants.a_m,
                 sigma_ratio=fit.theta_hat.sigma / constants.a_m, converged=fit.converged,
-                ks=ks_distance(measure, 1.0), mean_ll_truth=empirical_mean_loglik(measure, truth),
+                ks=ks_distance(normalized, 1.0),
+                mean_ll_truth=empirical_mean_loglik(normalized, truth),
             )
 
     def test_crucial_lemma_row_follows_stream_one(self):
         dist, m = exponential(), poly_log_growth().block_length(150)
         rows = check_crucial_lemma(dist, [60, 150], poly_log_growth(), 4, seed=5)
-        values = [empirical_mean_loglik(EmpiricalMeasure.from_values(
-            _draw_by_hand(dist, 150, m, 5, 1, 1, rep)[1]), GevParams(0.0, 0.0, 1.0))
-            for rep in range(4)]
+        values = [empirical_mean_loglik(_draw_by_hand(dist, 150, m, 5, 1, 1, rep)[1],
+                                        GevParams(0.0, 0.0, 1.0)) for rep in range(4)]
         gaps = [abs(v - expected_loglik(0.0)) for v in values]
         assert rows[1] == CrucialLemmaRow(n=150, m=m, median_gap=float(np.median(gaps)),
                                           n_infeasible=0)
@@ -267,6 +265,31 @@ class TestCellLoop:
             n=3_000, m_slow=slow.block_length(3_000), median_min_slow=medians[0],
             m_fast=fast.block_length(3_000), median_min_fast=medians[1],
         )
+
+    @pytest.mark.parametrize("check,expected", [
+        (run_consistency_study, {"normalize": 6, "ks_distance": 6, "empirical_mean_loglik": 6}),
+        (check_crucial_lemma, {"normalize": 6, "ks_distance": 0, "empirical_mean_loglik": 6}),
+    ], ids=["consistency", "crucial_lemma"])
+    def test_every_replication_passes_the_traced_bindings(self, monkeypatch, check, expected):
+        # the benchmark's blocks.*.busy_s metrics wrap these names in blockmax.lab;
+        # a replication that reached them another way would go untimed
+        from blockmax import lab
+
+        counts = dict.fromkeys(expected, 0)
+
+        def counting(name):
+            original = getattr(lab, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(lab, name, counted)
+
+        for name in expected:
+            counting(name)
+        check(pareto(1.0), [50, 120], poly_log_growth(), 3, 4)  # 2 cells x 3 replications
+        assert counts == expected
 
 
 class TestObstruction:
@@ -344,7 +367,7 @@ class TestObstruction:
         constants = norm_constants(dist, m)
         data = sample_iid(dist, 1_000 * m, seed=7)
         normalized = normalize(block_maxima(data, m), constants)
-        assert np.min(normalized.values) <= normalized.values[0]
+        assert np.min(normalized) <= normalized[0]
 
     def test_requires_unbounded_left_tail(self):
         # the exact GEV(1) member has finite left endpoint, so the
