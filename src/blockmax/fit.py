@@ -4,14 +4,26 @@ The sample log-likelihood generally has no global maximum, so "fit" here
 means: find a local maximum inside the open region where every
 observation is feasible, verify the first-order conditions with the
 analytic gradient, and verify second-order conditions with a numeric
-Hessian: one finite-difference stencil call (``numeric_hessian``) per
-fit, while the search itself runs on the closed-form Hessian.  Shape
-values at or below -1 are excluded from the search: the likelihood has
-no local maximum there.
+Hessian: one finite-difference stencil (``numeric_hessian``) per fit,
+while the search itself runs on the closed-form Hessian.  Shape values
+at or below -1 are excluded from the search: the likelihood has no local
+maximum there.
+
+``fit_mle`` fits a block of series at once, one per row of a matrix, and
+a single series is the one-row block.  The moment start, its repair, the
+Newton ascent and the verdict each run on all rows still in play with
+one array pass per step, and a row leaves the ascent when it converges,
+stalls or reaches ``MAX_ITERS``.  One kernel, ``_loglik_rows``, computes
+every log-likelihood of the fit, and the gradient and Hessian at an
+accepted point in the same pass.  Rows never mix: each row's sums run in
+the order they would on their own, so every row's ``FitResult`` is bit
+for bit the one-series fit of that row.  No kernel array holds more than
+``BLOCK_VALUES`` values (or one row, where a row is longer).
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,10 +33,10 @@ from .blocks import _mean_loglik, check_finite
 from .gev import (
     EULER_GAMMA,
     GevParams,
+    _derivative_columns,
     _shape,
-    _support_factor,
+    _split_means,
     gev_loglik3,
-    gev_loglik_grad_hess,
     gev_loglik_gradient,
     gev_quantile,
     gev_upper_quantile,
@@ -37,6 +49,7 @@ INIT_GAMMA_LO = -0.95
 INIT_GAMMA_HI = 5.0
 GRAD_TOL = 1e-8   # bound on the data-unit gradient norm of a converged fit
 MAX_ITERS = 500   # Newton steps before the ascent gives up
+BLOCK_VALUES = 8192  # most values in one kernel array, and in one study block of series
 KL_STEP = 1.0 / 32.0  # step of kl_divergence's tanh-sinh rule in t
 KL_T_MAX = 6.0        # the rule sums over t in [-KL_T_MAX, KL_T_MAX]: 385 nodes
 
@@ -75,6 +88,77 @@ def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
     return np.atleast_2d(gev_loglik_gradient(theta, x)).mean(axis=0)
 
 
+def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
+    """Mean log-likelihood of row ``rows[k]`` of ``X`` (row k without ``rows``)
+    at ``theta[k]``, for each k.
+
+    Bit for bit ``sample_loglik``, -inf where an observation is infeasible.
+    With ``floor`` (a scalar or one per k), the same pass also returns the
+    means of the derivative columns (the nine of ``_derivative_columns``,
+    or the three gradient ones without ``hessian``) for every k whose
+    value is not below its floor, as ``gev_loglik_grad_hess`` computes
+    them; other entries are NaN.  Rows go through in chunks, so no array
+    holds more than ``BLOCK_VALUES`` values.
+    """
+    n = X.shape[1]
+    width = 1 if floor is None else 9 if hessian else 3
+    values = np.empty(len(theta))
+    means = None if floor is None else np.full((len(theta), width), np.nan)
+    chunk = max(1, BLOCK_VALUES // (n * width))
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(theta), chunk):
+            part = slice(lo, lo + chunk)
+            gamma, mu, sigma = theta[part].T.copy()[:, :, None]  # contiguous columns
+            g = _shape(gamma)
+            gumbel = g[:, 0] == 0.0
+            g_or_1 = np.where(gumbel[:, None], 1.0, g) if gumbel.any() else g
+            # math.log and ** row by row, as the one-series code takes them: np.log
+            # and np.square can round differently in the last bit
+            log_sigma = np.array([[math.log(s)] for s in sigma[:, 0].tolist()])
+            # _standardized and gev_loglik3 on every row; -log_w/g is log_w/(-g) bit
+            # for bit.  A row with an observation outside (w <= 0) or an overflowing
+            # e is -inf.
+            z = ((X[part] if rows is None else X[rows[part]]) - mu) / sigma
+            gz = g * z
+            w = 1.0 + gz
+            log_w = np.log1p(gz)
+            e = np.exp(log_w / -g_or_1)
+            ll = -(1.0 + 1.0 / g_or_1) * log_w - e
+            if g_or_1 is not g:
+                w[gumbel] = 1.0
+                e[gumbel] = np.exp(-z[gumbel])
+                ll[gumbel] = -z[gumbel] - e[gumbel]
+            ll -= log_sigma
+            vals = ll.sum(axis=1) / n
+            vals[~(w.min(axis=1) > 0.0) | (e.max(axis=1) == np.inf)] = -np.inf
+            values[part] = vals
+            if means is None:
+                continue
+            want = vals >= (floor if np.ndim(floor) == 0 else floor[part])
+            if not want.all():
+                want = np.flatnonzero(want)
+                if not want.size:
+                    continue
+                g, sigma, z, w, e = g[want], sigma[want], z[want], w[want], e[want]
+            sigma2 = np.array([[s**2] for s in sigma[:, 0].tolist()]) if hessian else None
+            columns = np.empty(z.shape + (width,))
+            for j, column in enumerate(_derivative_columns(g, sigma, sigma2, z, w, e, hessian)):
+                columns[:, :, j] = column
+            # np.mean's bits: a sum in observation order, then one division
+            means[part][want] = np.add.reduce(columns, axis=1) / n
+    return values, means
+
+
+def _margins(theta, X):
+    """``feasibility_margin`` of each row of ``X`` at the matching row of ``theta``."""
+    g = _shape(theta[:, 0])
+    ends = np.stack([X.min(axis=1), X.max(axis=1)], axis=1)
+    with np.errstate(all="ignore"):
+        w = 1.0 + g[:, None] * ((ends - theta[:, 1:2]) / theta[:, 2:3])
+    w[g == 0.0] = 1.0
+    return np.where(w[:, 1] < w[:, 0], w[:, 1], w[:, 0])
+
+
 def feasibility_margin(theta: GevParams, series) -> float:
     """min_k (1 + gamma * z_k) with z = (x - mu) / sigma, the support factor
     ``gev_loglik3`` tests; must be > 0 for a finite fit.
@@ -82,9 +166,8 @@ def feasibility_margin(theta: GevParams, series) -> float:
     Each rounded step from x to 1 + gamma*z is monotone in x, so the
     minimum sits at the smallest or the largest observation, bit for bit.
     """
-    x = np.asarray(series, dtype=float)
-    return min(_support_factor(theta.gamma, (float(v) - theta.mu) / theta.sigma)[1]
-               for v in (x.min(), x.max()))
+    x = np.asarray(series, dtype=float).reshape(1, -1)
+    return float(_margins(theta.as_array()[None], x)[0])
 
 
 def is_feasible(theta: GevParams, series) -> bool:
@@ -92,16 +175,65 @@ def is_feasible(theta: GevParams, series) -> bool:
     return math.isfinite(sample_loglik(theta, series))
 
 
-def _repair_feasibility(theta: GevParams, x: np.ndarray) -> GevParams:
-    """Shrink gamma toward 0 and inflate sigma until the data fit inside."""
-    gamma, mu, sigma = theta.gamma, theta.mu, theta.sigma
+def _repair(theta, X, floor=None):
+    """Shrink gamma toward 0 and inflate sigma, row by row, until each row of
+    ``X`` fits inside; returns the points and ``_loglik_rows`` at them."""
+    theta = theta.copy()
+    values = np.empty(len(theta))
+    means = None if floor is None else np.empty((len(theta), 9))
+    pending = np.arange(len(theta))
     for _ in range(200):
-        cand = GevParams(gamma, mu, sigma)
-        if is_feasible(cand, x):
-            return cand
-        gamma = _shape(gamma * 0.5)
-        sigma *= 2.0
-    raise ValueError("could not repair the starting point into the feasible region")
+        vals, found = _loglik_rows(theta[pending], X, pending, floor)
+        done = np.isfinite(vals)
+        values[pending[done]] = vals[done]
+        if means is not None:
+            means[pending[done]] = found[done]
+        pending = pending[~done]
+        if not pending.size:
+            return theta, values, means
+        theta[pending, 0] = _shape(theta[pending, 0] * 0.5)
+        theta[pending, 2] *= 2.0
+    where = f"row {pending[0]}: " if len(X) > 1 else ""
+    raise ValueError(f"{where}could not repair the starting point into the feasible region")
+
+
+def _moment_starts(xs):
+    """Probability-weighted-moment points (gamma, mu, sigma), one per sorted row
+    of ``xs``: sample L-moments with the rational shape approximation, the
+    shape clamped into a conservative sub-range; not yet repaired."""
+    n = xs.shape[1]
+    j = np.arange(1, n + 1, dtype=float)
+    b0 = xs.mean(axis=1)
+    b1 = ((j - 1.0) * xs).sum(axis=1) / (n * (n - 1.0))
+    b2 = ((j - 1.0) * (j - 2.0) * xs).sum(axis=1) / (n * (n - 1.0) * (n - 2.0))
+    l1 = b0
+    l2 = 2.0 * b1 - b0
+    l3 = 6.0 * b2 - 6.0 * b1 + b0
+    c = 2.0 / (3.0 + l3 / l2) - math.log(2.0) / math.log(3.0)
+    # clamp the shape into (INIT_GAMMA_LO, INIT_GAMMA_HI]; k is minus the shape
+    ks = np.clip(7.8590 * c + 2.9554 * c * c, -INIT_GAMMA_HI, -INIT_GAMMA_LO - 1e-9)
+    out = np.empty((len(xs), 3))
+    for i, k in enumerate(ks.tolist()):
+        if not _shape(k):  # the Gumbel limit
+            sigma = l2[i] / math.log(2.0)
+            mu = l1[i] - EULER_GAMMA * sigma
+            gamma = 0.0
+        else:
+            try:
+                g1 = math.gamma(1.0 + k)
+            except ValueError:  # 1 + k on a pole (0, -1, ..., -4): use the fallback below
+                g1 = math.nan
+            sigma = l2[i] * k / ((1.0 - 2.0 ** (-k)) * g1)
+            mu = l1[i] - sigma * (1.0 - g1) / k
+            gamma = -k
+        if not sigma > 0 or not math.isfinite(sigma) or not math.isfinite(mu):
+            # moment estimate degenerate; fall back to a Gumbel-flavored start
+            x = xs[i]
+            sigma = max(np.std(x), 1e-12 * max(1.0, abs(x[-1])))
+            mu = float(np.median(x))
+            gamma = 0.0
+        out[i] = gamma, mu, sigma
+    return out
 
 
 def pwm_init(series) -> GevParams:
@@ -111,164 +243,143 @@ def pwm_init(series) -> GevParams:
     shape is clamped into a conservative sub-range and the result is
     repaired into strict feasibility so the search starts finite.
     """
-    x = np.sort(np.asarray(series, dtype=float))
-    n = x.size
-    if n < 3:
+    x = np.sort(np.asarray(series, dtype=float)).reshape(1, -1)
+    if x.size < 3:
         raise ValueError("need at least 3 observations")
-    if x[0] == x[-1]:
+    if x[0, 0] == x[0, -1]:
         raise ValueError("degenerate data: all observations equal")
-    j = np.arange(1, n + 1, dtype=float)
-    b0 = x.mean()
-    b1 = np.sum((j - 1.0) * x) / (n * (n - 1.0))
-    b2 = np.sum((j - 1.0) * (j - 2.0) * x) / (n * (n - 1.0) * (n - 2.0))
-    l1 = b0
-    l2 = 2.0 * b1 - b0
-    l3 = 6.0 * b2 - 6.0 * b1 + b0
-    t3 = l3 / l2
-    c = 2.0 / (3.0 + t3) - math.log(2.0) / math.log(3.0)
-    k = 7.8590 * c + 2.9554 * c * c
-    # clamp the shape into (INIT_GAMMA_LO, INIT_GAMMA_HI]; k is minus the shape
-    k = float(np.clip(k, -INIT_GAMMA_HI, -INIT_GAMMA_LO - 1e-9))
-    if not _shape(k):  # the Gumbel limit
-        sigma = l2 / math.log(2.0)
-        mu = l1 - EULER_GAMMA * sigma
-        gamma = 0.0
-    else:
-        try:
-            g1 = math.gamma(1.0 + k)
-        except ValueError:  # 1 + k on a pole (0, -1, ..., -4): use the fallback below
-            g1 = math.nan
-        sigma = l2 * k / ((1.0 - 2.0 ** (-k)) * g1)
-        mu = l1 - sigma * (1.0 - g1) / k
-        gamma = -k
-    if not sigma > 0 or not math.isfinite(sigma) or not math.isfinite(mu):
-        # moment estimate degenerate; fall back to a Gumbel-flavored start
-        sigma = max(np.std(x), 1e-12 * max(1.0, abs(x[-1])))
-        mu = float(np.median(x))
-        gamma = 0.0
-    return _repair_feasibility(GevParams(gamma, float(mu), float(sigma)), x)
+    theta, _, _ = _repair(_moment_starts(x), x)
+    return GevParams.from_array(theta[0])
 
 
-def _newton_ascent(theta_vec, y, grad_weights):
-    """Saddle-free Newton ascent on the mean log-likelihood of ``y`` with
-    feasibility backtracking, for at most ``MAX_ITERS`` steps.
+def _norms(v):
+    """``np.linalg.norm`` of each row of ``v`` (n, 3), bit for bit: a stacked
+    1x3 by 3x1 product takes the same dot product the one-row norm does."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-    ``grad_weights`` maps the gradient on ``y`` to data units, and the
-    search stops once that norm is a tenth of ``GRAD_TOL``: a decade
-    below the verdict's bound, because the verdict's gradient on x rounds
-    differently.  Each accepted point gets one closed-form gradient and
-    Hessian.  Returns (theta_vec, n_iterations, stall_reason)."""
 
-    def value(vec):
-        return sample_loglik(GevParams.from_array(vec), y)
+def _stacked(decompose, mats):
+    """``decompose`` (``np.linalg.eigh`` or ``eigvalsh``) of a stack of matrices,
+    as consecutive (rows, result) parts: one part for the whole stack, or,
+    should LAPACK fail on a matrix, one part per matrix, with result None
+    for each failing one."""
+    try:
+        return [(slice(0, len(mats)), decompose(mats))]
+    except np.linalg.LinAlgError:
+        parts = []
+        for i in range(len(mats)):
+            try:
+                parts.append((slice(i, i + 1), decompose(mats[i:i + 1])))
+            except np.linalg.LinAlgError:
+                parts.append((slice(i, i + 1), None))
+        return parts
 
-    def derivatives(vec):
-        return gev_loglik_grad_hess(GevParams.from_array(vec), y)
 
-    current = value(theta_vec)
-    g, hess = derivatives(theta_vec)
+def _ascent_steps(g, hess):
+    """Saddle-free Newton steps on |H| (eigenvalue magnitudes, floored), so they
+    ascend even away from a maximum; the gradient where H has no usable
+    decomposition.  Each step is at most 1 long."""
+    steps = g.copy()
+    for part, found in _stacked(np.linalg.eigh, hess):
+        if found is None:
+            continue
+        lam, vecs = found
+        mag = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam), axis=1, keepdims=True))
+        rot = (np.swapaxes(vecs, 1, 2) @ g[part, :, None])[:, :, 0]
+        with np.errstate(all="ignore"):
+            steps[part] = (vecs @ (rot / mag)[:, :, None])[:, :, 0]
+    bad = ~np.isfinite(steps).all(axis=1)
+    steps[bad] = g[bad]
+    return steps / np.fmax(1.0, _norms(steps))[:, None]
+
+
+def _newton_ascent(theta, current, means, Y, units):
+    """Saddle-free Newton ascent on the mean log-likelihood of each row of ``Y``
+    with feasibility backtracking, for at most ``MAX_ITERS`` steps.
+
+    ``theta`` holds the starts, ``current`` their values and ``means`` the
+    derivative means there.  ``units`` maps each row's gradient on ``Y``
+    to data units, and a row stops once that norm is a tenth of
+    ``GRAD_TOL``: a decade below the verdict's bound, because the verdict's
+    gradient on x rounds differently.  All rows still in play take their
+    k-th step together.  Returns (theta, iterations, stall reasons)."""
+    theta, current = theta.copy(), current.copy()
+    g, hess = _split_means(means)
+    g = g.copy()
+    iterations = np.full(len(theta), MAX_ITERS)
+    stalls = ["Newton iteration limit reached"] * len(theta)
+    active = np.arange(len(theta))
     for it in range(MAX_ITERS):
-        g_norm = np.linalg.norm(g)
-        if math.hypot(*(grad_weights * g)) <= 0.1 * GRAD_TOL:
-            return theta_vec, it, ""
-        # Newton step on |H| (eigenvalue magnitudes, floored), so it ascends
-        # even away from a maximum; the gradient where H is not finite.
-        try:
-            lam, vecs = np.linalg.eigh(hess)
-            mag = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
-            step = vecs @ ((vecs.T @ g) / mag)
-        except np.linalg.LinAlgError:
-            step = g
-        if not np.all(np.isfinite(step)):
-            step = g
-        step = step / max(1.0, float(np.linalg.norm(step)))  # at most 1 in y units
+        near = np.array([math.hypot(*v) <= 0.1 * GRAD_TOL
+                         for v in (units[active] * g[active]).tolist()], dtype=bool)
+        for row in active[near]:
+            iterations[row], stalls[row] = it, ""
+        active = active[~near]
+        if not active.size:
+            break
+        step = _ascent_steps(g[active], hess[active])
         # Close to the optimum the attainable improvement drops below the
         # rounding noise of the mean, so a strict-ascent rule would stall
         # with the gradient still above tolerance.  Accept a step whose
         # value is within noise as long as it halves the gradient norm.
-        noise = 1e-12 * (1.0 + abs(current))
+        noise = 1e-12 * (1.0 + np.abs(current[active]))
+        todo = np.arange(active.size)  # positions in ``active`` still backtracking
         scale = 1.0
         for _ in range(40):
-            cand = theta_vec + scale * step
-            if (GAMMA_FLOOR < cand[0] <= GAMMA_CAP) and cand[2] > 0:
-                cand_val = value(cand)
-                if math.isfinite(cand_val):
-                    if cand_val > current:
-                        theta_vec, current = cand, cand_val
-                        g, hess = derivatives(theta_vec)
-                        break
-                    if cand_val >= current - noise:
-                        cand_g, cand_hess = derivatives(cand)
-                        if np.linalg.norm(cand_g) < 0.5 * g_norm:
-                            theta_vec, current = cand, max(cand_val, current)
-                            g, hess = cand_g, cand_hess
-                            break
+            rows = active[todo]
+            cand = theta[rows] + scale * step[todo]
+            inside = (GAMMA_FLOOR < cand[:, 0]) & (cand[:, 0] <= GAMMA_CAP) & (cand[:, 2] > 0)
+            rows, cand = rows[inside], cand[inside]
+            floor = current[rows] - noise[todo[inside]]
+            vals, found = _loglik_rows(cand, Y, rows, floor)
+            finite = np.isfinite(vals)
+            take = finite & (vals > current[rows])
+            level = finite & ~take & (vals >= floor)
+            if level.any():
+                level[level] = _norms(found[level, :3]) < 0.5 * _norms(g[rows[level]])
+                take |= level
+            rows = rows[take]
+            theta[rows] = cand[take]
+            current[rows] = np.where(current[rows] > vals[take], current[rows], vals[take])
+            g[rows], hess[rows] = _split_means(found[take])
+            left = ~inside
+            left[inside] = ~take
+            todo = todo[left]
+            if not todo.size:
+                break
             scale *= 0.5
         else:
-            return theta_vec, it + 1, "plateau: no ascent step found"
-    return theta_vec, MAX_ITERS, "Newton iteration limit reached"
+            for row in active[todo]:
+                iterations[row], stalls[row] = it + 1, "plateau: no ascent step found"
+            active = np.delete(active, todo)
+    return theta, iterations, stalls
 
 
-def fit_mle(series, init: Optional[GevParams] = None) -> FitResult:
-    """Find a local maximum of the mean GEV log-likelihood.
-
-    Newton ascent on y = (x - median) / IQR from the moment start, or
-    from ``init`` (repaired into feasibility) when given; the estimate is
-    mapped back to data units, so it moves with shifts and rescalings of
-    the data, and first- and second-order verification run on x.  Points
-    outside the feasible region (or with shape outside (-1, 10]) score
-    -inf and are never accepted.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.size < 3:
-        raise ValueError("need at least 3 observations to fit three parameters")
-    check_finite(x)
-    if np.min(x) == np.max(x):
-        raise ValueError("degenerate data: all observations equal")
-
-    q1, center, q3 = (float(q) for q in np.percentile(x, (25.0, 50.0, 75.0)))
-    scale = q3 - q1 if q3 > q1 else float(np.max(x) - np.min(x))
-    y = (x - center) / scale
-    start = pwm_init(y) if init is None else _repair_feasibility(GevParams(
-        init.gamma, (init.mu - center) / scale, init.sigma / scale), y)
-
-    # d/dmu and d/dsigma in data units are 1/scale times those on y
-    units = np.array([1.0, 1.0 / scale, 1.0 / scale])
-    best, iterations, stall = _newton_ascent(start.as_array(), y, units)
-
-    gamma, mu, sigma = (float(v) for v in best)
-    theta_hat = GevParams(gamma, center + scale * mu, scale * sigma)
-    margin = feasibility_margin(theta_hat, x)
-    if not margin > 0.0:
-        raise RuntimeError(f"fit ended outside the feasible region (margin {margin!r})")
-    loglik = sample_loglik(theta_hat, x)
-    grad_norm = math.hypot(*sample_loglik_gradient(theta_hat, x))
-
-    hessian_negdef = False
-    try:
-        h = numeric_hessian(theta_hat, x)
-        eigs = np.linalg.eigvalsh(h)
-        hessian_negdef = bool(np.all(np.isfinite(eigs)) and np.max(eigs) < 0.0)
-    except (ValueError, np.linalg.LinAlgError):
-        pass
-
-    failed = [message for fails, message in (
-        (margin <= 1e-6, f"feasibility boundary: min block margin {margin:.3e}"),
-        (theta_hat.gamma <= GAMMA_FLOOR + 1e-6, "shape pinned at the lower admissible bound"),
-        (not grad_norm <= GRAD_TOL, f"gradient norm {grad_norm:.3e} above tolerance"),
-        (not hessian_negdef, "numeric Hessian not negative definite"),
-    ) if fails]
-
-    return FitResult(
-        theta_hat=theta_hat,
-        loglik=loglik,
-        grad_norm=grad_norm,
-        hessian_negdef=hessian_negdef,
-        n_blocks=int(x.size),
-        converged=not failed,
-        iterations=iterations,
-        diagnostic="; ".join(([stall] if stall else []) + failed),
-    )
+def _stencil_hessians(theta, X, rows, f0):
+    """``numeric_hessian`` at each ``theta[k]`` on row ``rows[k]`` of ``X``, where
+    ``f0[k]`` is the (finite) value there; all 18 other points in one pass."""
+    h = 1e-4 * (1.0 + np.abs(theta))
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    signs = np.zeros((18, 3))
+    for i in range(3):  # +e_i, -e_i
+        signs[2 * i, i], signs[2 * i + 1, i] = 1.0, -1.0
+    for p, (i, j) in enumerate(pairs):  # ++, +-, -+, --
+        signs[6 + 4 * p:10 + 4 * p, i] = (1.0, 1.0, -1.0, -1.0)
+        signs[6 + 4 * p:10 + 4 * p, j] = (1.0, -1.0, 1.0, -1.0)
+    points = (theta[:, None, :] + signs * h[:, None, :]).reshape(-1, 3)
+    f = np.full(len(points), -np.inf)
+    ok = points[:, 2] > 0
+    f[ok], _ = _loglik_rows(points[ok], X, np.repeat(rows, 18)[ok])
+    f = f.reshape(-1, 18)
+    out = np.empty((len(theta), 3, 3))
+    with np.errstate(all="ignore"):  # -inf points give inf or nan entries, quietly
+        for i in range(3):
+            out[:, i, i] = (f[:, 2 * i] - 2.0 * f0 + f[:, 2 * i + 1]) / h[:, i] / h[:, i]
+        for p, (i, j) in enumerate(pairs):
+            pp, pm, mp, mm = f[:, 6 + 4 * p:10 + 4 * p].T
+            out[:, i, j] = out[:, j, i] = (pp - pm - mp + mm) / (2.0 * h[:, i]) / (2.0 * h[:, j])
+        return (out + np.swapaxes(out, 1, 2)) / 2.0
 
 
 def numeric_hessian(theta: GevParams, series) -> np.ndarray:
@@ -277,34 +388,116 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     Step sizes are relative, 1e-4 * (1 + |component|), balancing
     truncation against round-off for a twice-differenced mean of logs.
     """
-    x = np.asarray(series, dtype=float)
-    vec = theta.as_array()
-    h = 1e-4 * (1.0 + np.abs(vec))
-
-    def value(v):
-        if not v[2] > 0:
-            return -math.inf
-        return sample_loglik(GevParams.from_array(v), x)
-
-    f0 = value(vec)
-    if not math.isfinite(f0):
+    x = np.asarray(series, dtype=float).reshape(1, -1)
+    vec, rows = theta.as_array()[None], np.zeros(1, dtype=int)
+    f0, _ = _loglik_rows(vec, x)
+    if not math.isfinite(f0[0]):
         raise ValueError("Hessian requested at an infeasible parameter point")
-    out = np.empty((3, 3))
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = h[i]
-        out[i, i] = (value(vec + ei) - 2.0 * f0 + value(vec - ei)) / h[i] / h[i]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ei = np.zeros(3)
-            ej = np.zeros(3)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            out[i, j] = out[j, i] = (
-                value(vec + ei + ej) - value(vec + ei - ej)
-                - value(vec - ei + ej) + value(vec - ei - ej)
-            ) / (2.0 * h[i]) / (2.0 * h[j])
-    return (out + out.T) / 2.0
+    return _stencil_hessians(vec, x, rows, f0)[0]
+
+
+def _checked_rows(x: np.ndarray) -> np.ndarray:
+    """The series of ``x`` as rows of a matrix; bad input is refused before
+    any row is fitted, naming the row."""
+    if x.ndim <= 1:
+        if x.size < 3:
+            raise ValueError("need at least 3 observations to fit three parameters")
+        check_finite(x)
+        if np.min(x) == np.max(x):
+            raise ValueError("degenerate data: all observations equal")
+        return x.reshape(1, -1)
+    if x.ndim != 2:
+        raise ValueError(f"expected one series or a matrix of series, one per row; "
+                         f"got {x.ndim}-d input")
+    if x.shape[0] == 0:
+        raise ValueError("empty matrix: no series to fit")
+    if x.shape[1] < 3:
+        raise ValueError(f"need at least 3 observations per row to fit three parameters, "
+                         f"got {x.shape[1]}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        check_finite(x[row], f"row {row}")
+    flat = x.min(axis=1) == x.max(axis=1)
+    if flat.any():
+        raise ValueError(f"row {int(np.argmax(flat))}: degenerate data: all observations equal")
+    return np.ascontiguousarray(x)
+
+
+def fit_mle(series, init: Optional[GevParams] = None):
+    """Find a local maximum of the mean GEV log-likelihood.
+
+    Newton ascent on y = (x - median) / IQR from the moment start, or
+    from ``init`` (repaired into feasibility) when given; the estimate is
+    mapped back to data units, so it moves with shifts and rescalings of
+    the data, and first- and second-order verification run on x.  Points
+    outside the feasible region (or with shape outside (-1, 10]) score
+    -inf and are never accepted.
+
+    ``series`` is one series, which gives one ``FitResult``, or a matrix
+    with one series per row, which gives a list with one ``FitResult`` per
+    row, each bit for bit the result of fitting that row on its own.
+    """
+    x = np.asarray(series, dtype=float)
+    X = _checked_rows(x)
+    n = X.shape[1]
+
+    q1, center, q3 = np.percentile(X, (25.0, 50.0, 75.0), axis=1)
+    scale = np.where(q3 > q1, q3 - q1, X.max(axis=1) - X.min(axis=1))
+    Y = (X - center[:, None]) / scale[:, None]
+    if init is None:
+        start = _moment_starts(np.sort(Y, axis=1))
+    else:
+        start = np.array([GevParams(init.gamma, (init.mu - c) / s, init.sigma / s).as_array()
+                          for c, s in zip(center.tolist(), scale.tolist())])
+    # the repair's pass is the ascent's first: value, gradient and Hessian, finite values only
+    start, current, means = _repair(start, Y, floor=-sys.float_info.max)
+
+    # d/dmu and d/dsigma in data units are 1/scale times those on y
+    units = np.stack([np.ones(len(X)), 1.0 / scale, 1.0 / scale], axis=1)
+    best, iterations, stalls = _newton_ascent(start, current, means, Y, units)
+
+    thetas = [GevParams(gamma, c + s * mu, s * sigma) for (gamma, mu, sigma), c, s
+              in zip(best.tolist(), center.tolist(), scale.tolist())]
+    theta_x = np.array([t.as_array() for t in thetas])
+    margins = _margins(theta_x, X)
+    if not np.all(margins > 0.0):
+        row = int(np.argmin(margins > 0.0))
+        where = f"row {row}: " if x.ndim == 2 else ""
+        raise RuntimeError(f"{where}fit ended outside the feasible region "
+                           f"(margin {float(margins[row])!r})")
+    loglik, grads = _loglik_rows(theta_x, X, floor=-np.inf, hessian=False)
+
+    # the stencil needs a finite value at the estimate, as numeric_hessian does
+    negdef = np.zeros(len(X), dtype=bool)
+    judged = np.flatnonzero(np.isfinite(loglik))
+    if judged.size:
+        hessians = _stencil_hessians(theta_x[judged], X, judged, loglik[judged])
+        for part, eigs in _stacked(np.linalg.eigvalsh, hessians):
+            if eigs is not None:
+                negdef[judged[part]] = np.isfinite(eigs).all(axis=1) & (eigs.max(axis=1) < 0.0)
+
+    results = []
+    for row, theta_hat in enumerate(thetas):
+        margin = float(margins[row])
+        grad_norm = math.hypot(*grads[row].tolist())
+        failed = [message for fails, message in (
+            (margin <= 1e-6, f"feasibility boundary: min block margin {margin:.3e}"),
+            (theta_hat.gamma <= GAMMA_FLOOR + 1e-6, "shape pinned at the lower admissible bound"),
+            (not grad_norm <= GRAD_TOL, f"gradient norm {grad_norm:.3e} above tolerance"),
+            (not negdef[row], "numeric Hessian not negative definite"),
+        ) if fails]
+        results.append(FitResult(
+            theta_hat=theta_hat,
+            loglik=float(loglik[row]),
+            grad_norm=grad_norm,
+            hessian_negdef=bool(negdef[row]),
+            n_blocks=n,
+            converged=not failed,
+            iterations=int(iterations[row]),
+            diagnostic="; ".join(([stalls[row]] if stalls[row] else []) + failed),
+        ))
+    return results if x.ndim == 2 else results[0]
 
 
 def __getattr__(name):

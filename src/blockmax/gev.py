@@ -51,8 +51,11 @@ class SupportInterval:
     upper: float
 
 
-def _shape(gamma: float) -> float:
-    """The shape every formula uses: 0.0 in the Gumbel limit, else ``gamma``."""
+def _shape(gamma):
+    """The shape every formula uses: 0.0 in the Gumbel limit, else ``gamma``;
+    element by element for an array of shapes."""
+    if isinstance(gamma, np.ndarray):
+        return np.where(np.abs(gamma) < GAMMA_TINY, 0.0, gamma)
     return 0.0 if abs(gamma) < GAMMA_TINY else gamma
 
 
@@ -207,21 +210,29 @@ def _dphi(u, phi) -> np.ndarray:
 
 
 def _derivatives(params: GevParams, x: np.ndarray, hessian: bool) -> list:
-    """Per-observation derivative columns of ``gev_loglik3`` at 1-d ``x``.
-
-    The gradient in (gamma, mu, sigma), then, if ``hessian``, the Hessian
-    entries gg, gm, gs, mm, ms, ss.  Built from the standardized
-    log-density g(gamma, z) with z = (x-mu)/sigma, w = 1+gamma*z,
-    e = w^(-1/gamma) and t = log(w)/gamma, whose gamma-derivatives are
-    t_g = -z^2 phi(gamma z) and t_gg = -z^3 phi'(gamma z) (Prescott &
-    Walden, Biometrika 1980).  gamma is ``_shape(gamma)``: 0 in the limit.
-    """
+    """Per-observation derivative columns of ``gev_loglik3`` at 1-d ``x``
+    (see ``_derivative_columns``)."""
     sigma = params.sigma
     z = (x - params.mu) / sigma
     with np.errstate(over="ignore"):
         gamma, _, w, _, e = _standardized(params.gamma, z)
     if np.any(w <= 0):
         raise ValueError("gradient undefined on or outside the support boundary")
+    return _derivative_columns(gamma, sigma, sigma**2, z, w, e, hessian)
+
+
+def _derivative_columns(gamma, sigma, sigma2, z, w, e, hessian: bool) -> list:
+    """The gradient columns in (gamma, mu, sigma), then, if ``hessian``, the
+    Hessian entries gg, gm, gs, mm, ms, ss, of ``gev_loglik3`` at every z.
+
+    Built from the standardized log-density g(gamma, z) with
+    z = (x-mu)/sigma, w = 1+gamma*z, e = w^(-1/gamma) and
+    t = log(w)/gamma, whose gamma-derivatives are t_g = -z^2 phi(gamma z)
+    and t_gg = -z^3 phi'(gamma z) (Prescott & Walden, Biometrika 1980).
+    gamma is ``_shape(gamma)``: 0 in the limit.  The parameters are
+    scalars, or columns that broadcast over rows of z; ``sigma2`` is
+    ``sigma**2``.
+    """
     phi = _phi(gamma * z)
     columns = [
         (1.0 - e) * z * z * phi - z / w,
@@ -240,10 +251,17 @@ def _derivatives(params: GevParams, x: np.ndarray, hessian: bool) -> list:
         g_gg,
         -g_gz / sigma,
         -z * g_gz / sigma,
-        g_zz / sigma**2,
-        (z * g_zz + g_z) / sigma**2,
-        (1.0 + z * z * g_zz + 2.0 * z * g_z) / sigma**2,
+        g_zz / sigma2,
+        (z * g_zz + g_z) / sigma2,
+        (1.0 + z * z * g_zz + 2.0 * z * g_z) / sigma2,
     ]
+
+
+def _split_means(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean gradient (..., 3) and mean Hessian (..., 3, 3) from the nine
+    column means of ``_derivative_columns`` along the last axis."""
+    hess = means[..., [3, 4, 5, 4, 6, 7, 5, 7, 8]]
+    return means[..., :3], hess.reshape(hess.shape[:-1] + (3, 3))
 
 
 def gev_loglik_gradient(params: GevParams, x) -> np.ndarray:
@@ -266,8 +284,7 @@ def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
     the mean of ``gev_loglik_gradient``.  Raises where that does.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.stack(_derivatives(params, x, hessian=True), axis=-1).mean(axis=0)
-    return mean[:3], mean[[3, 4, 5, 4, 6, 7, 5, 7, 8]].reshape(3, 3)
+    return _split_means(np.stack(_derivatives(params, x, hessian=True), axis=-1).mean(axis=0))
 
 
 @_elementwise

@@ -31,7 +31,7 @@ from blockmax import (
     sample_loglik_gradient,
 )
 from blockmax import fit as fit_module
-from blockmax.fit import _repair_feasibility
+from blockmax.fit import _repair
 
 
 class TestSampleLoglik:
@@ -135,31 +135,38 @@ class TestFitMle:
         assert res.hessian_negdef
 
     def test_few_loglik_evaluations(self, monkeypatch):
+        # every log-likelihood of a fit, the stencil's included, is a row of _loglik_rows
         data = gev_sample(GevParams(0.5, 10.0, 2.0), 10_000, seed=61)
-        calls = []
-        evaluate = fit_module.sample_loglik
+        rows = []
+        evaluate = fit_module._loglik_rows
 
-        def counted(theta, series):
-            calls.append(1)
-            return evaluate(theta, series)
+        def counted(theta, *args, **kwargs):
+            rows.append(len(theta))
+            return evaluate(theta, *args, **kwargs)
 
-        monkeypatch.setattr(fit_module, "sample_loglik", counted)
+        monkeypatch.setattr(fit_module, "_loglik_rows", counted)
         fit_mle(data)
-        assert len(calls) < 200
+        assert 0 < sum(rows) < 200
+        rows.clear()
+        fit_mle(np.stack([data, 2.0 * data + 1.0, data[::-1]]))
+        assert 0 < sum(rows) < 3 * 200
 
     def test_one_numeric_hessian_per_fit(self, monkeypatch):
         # the ascent steps on the closed-form Hessian; the stencil only judges the result
         data = gev_sample(GevParams(0.5, 10.0, 2.0), 10_000, seed=61)
-        calls = []
-        stencil = fit_module.numeric_hessian
+        rows = []
+        stencil = fit_module._stencil_hessians
 
-        def counted(theta, series):
-            calls.append(1)
-            return stencil(theta, series)
+        def counted(theta, *args):
+            rows.append(len(theta))
+            return stencil(theta, *args)
 
-        monkeypatch.setattr(fit_module, "numeric_hessian", counted)
+        monkeypatch.setattr(fit_module, "_stencil_hessians", counted)
         fit_mle(data)
-        assert len(calls) == 1
+        assert rows == [1]
+        rows.clear()
+        fit_mle(np.stack([data, 2.0 * data + 1.0, data[::-1]]))
+        assert rows == [3]
 
     def test_affine_equivariance(self):
         # Gumbel and GEV(0.3) data; `converged` is not asserted because
@@ -209,10 +216,21 @@ class TestFitMle:
         assert isinstance(res.converged, bool)
 
     def test_nan_gradient_is_reported(self, monkeypatch):
+        # the verdict's gradient is the one _loglik_rows call without the Hessian
         data = gev_sample(GevParams(0.5, 0.0, 1.0), 200, seed=70)
-        monkeypatch.setattr(fit_module, "sample_loglik_gradient",
-                            lambda theta, series: np.full(3, np.nan))
+        verdicts = []
+        evaluate = fit_module._loglik_rows
+
+        def nan_gradient(theta, X, rows=None, floor=None, hessian=True):
+            values, means = evaluate(theta, X, rows, floor, hessian)
+            if floor is not None and not hessian:
+                verdicts.append(len(theta))
+                means[:] = np.nan
+            return values, means
+
+        monkeypatch.setattr(fit_module, "_loglik_rows", nan_gradient)
         res = fit_mle(data)
+        assert verdicts == [1]
         assert not res.converged
         assert "gradient norm nan above tolerance" in res.diagnostic
 
@@ -225,9 +243,102 @@ class TestFitMle:
     def test_repair_makes_infeasible_init_finite(self):
         data = gev_sample(GevParams(0.5, 0.0, 1.0), 500, seed=68)
         bad = GevParams(2.0, float(np.max(data)), 0.01)  # everything below mu is infeasible
-        repaired = _repair_feasibility(bad, data)
+        theta, values, _ = _repair(bad.as_array()[None], data[None])
+        repaired = GevParams.from_array(theta[0])
         assert is_feasible(repaired, data)
-        assert math.isfinite(sample_loglik(repaired, data))
+        assert values[0] == sample_loglik(repaired, data)
+
+
+def _mixed_block():
+    """Rows of 500 maxima that end in different ways: after 3 to 7 steps,
+    at a plateau (data scaled by 1e-300), a Gumbel sample, and two rows
+    that take more than 20 steps."""
+    n = 500
+    return np.stack([
+        gev_sample(GevParams(0.3, 1.0, 1.5), n, seed=3),
+        gev_sample(GevParams(0.3, 1.0, 1.5), n, seed=3) * 1e-300,
+        gev_sample(GevParams(0.0, 0.0, 1.0), n, seed=5),
+        sample_iid(pareto(1.0), n, seed=6, m=30),
+        gev_sample(GevParams(-0.4, 0.0, 1.0), n, seed=7),
+        gev_sample(GevParams(2.5, 0.0, 1.0), n, seed=8),
+        np.random.default_rng(9).random((n, 50)).max(axis=1),
+    ])
+
+
+class TestBatchedFit:
+    @pytest.mark.parametrize("block_values", [1, 10**9, fit_module.BLOCK_VALUES],
+                             ids=["one-row-chunks", "whole-matrix", "default"])
+    def test_each_row_is_its_lone_fit(self, monkeypatch, block_values):
+        X = _mixed_block()
+        monkeypatch.setattr(fit_module, "MAX_ITERS", 20)
+        lone = [fit_mle(x) for x in X]
+        monkeypatch.setattr(fit_module, "BLOCK_VALUES", block_values)
+        assert fit_mle(X) == lone
+        assert fit_mle(X[::-1]) == lone[::-1]
+        # the block mixes every way an ascent ends
+        assert len({r.iterations for r in lone}) >= 5
+        assert any(r.diagnostic.startswith("plateau") for r in lone)
+        assert sum(r.iterations == 20 and r.diagnostic.startswith("Newton iteration limit")
+                   for r in lone) == 2
+        assert any(r.converged for r in lone) and not all(r.converged for r in lone)
+
+    def test_kernel_is_the_one_series_functions(self):
+        # one chunk mixing the Gumbel limit (0 and 1e-9), ordinary shapes and an
+        # infeasible row gives each row the bits of sample_loglik and gev_loglik_grad_hess
+        x = gev_sample(GevParams(0.2, 0.0, 1.0), 300, seed=73)
+        thetas = [GevParams(0.0, 0.1, 1.2), GevParams(0.3, -0.1, 0.9), GevParams(1e-9, 0.0, 1.0),
+                  GevParams(-0.4, 0.2, 1.1), GevParams(2.0, float(np.max(x)), 0.05)]
+        values, means = fit_module._loglik_rows(
+            np.array([t.as_array() for t in thetas]), x[None], np.zeros(5, dtype=int),
+            floor=-np.inf)
+        for theta, value, row in zip(thetas, values, means):
+            assert value == sample_loglik(theta, x)
+            if math.isfinite(value):
+                grad, hess = gev_loglik_grad_hess(theta, x)
+                assert row[:3].tolist() == grad.tolist()
+                assert row[[3, 4, 5, 4, 6, 7, 5, 7, 8]].tolist() == hess.ravel().tolist()
+        assert values[-1] == -math.inf
+
+    def test_one_series_is_the_one_row_matrix(self):
+        x = _mixed_block()[3]
+        assert fit_mle(x[None]) == [fit_mle(x)]
+        assert fit_mle(x[None], init=GevParams(0.8, 1.0, 2.0)) == [
+            fit_mle(x, init=GevParams(0.8, 1.0, 2.0))]
+
+    def test_nan_or_inf_row_named(self):
+        X = _mixed_block()
+        X[4, [7, 9]] = np.nan
+        X[4, 11] = np.inf
+        with pytest.raises(ValueError, match="row 4: 2 NaN and 1 infinite values among 500"):
+            fit_mle(X)
+
+    def test_constant_row_named(self):
+        X = _mixed_block()
+        X[2] = 3.0
+        with pytest.raises(ValueError, match="row 2: degenerate data"):
+            fit_mle(X)
+
+    def test_too_few_columns(self):
+        with pytest.raises(ValueError, match="at least 3 observations per row"):
+            fit_mle(np.array([[1.0, 2.0], [3.0, 5.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 10), (0, 0)])
+    def test_empty_matrix(self, shape):
+        with pytest.raises(ValueError, match="no series to fit"):
+            fit_mle(np.empty(shape))
+
+    def test_three_dimensional_input(self):
+        with pytest.raises(ValueError, match="3-d input"):
+            fit_mle(_mixed_block().reshape(7, 20, 25))
+
+    def test_refused_before_any_row_is_fitted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fit_module, "_loglik_rows", lambda *args, **kw: calls.append(1))
+        X = _mixed_block()
+        X[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="row 6"):
+            fit_mle(X)
+        assert calls == []
 
 
 def test_fit_result_rejects_shape_at_minus_one():

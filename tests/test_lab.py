@@ -162,6 +162,17 @@ class TestConsistencyStudy:
         )
         assert "\n".join(again.csv_lines()) == "\n".join(small_report.csv_lines())
 
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, small_report):
+        # replications are fitted in blocks of BLOCK_VALUES // n; each fit is the lone fit
+        from blockmax import lab
+
+        for block_values in (1, 10**9):
+            monkeypatch.setattr(lab, "BLOCK_VALUES", block_values)
+            again = run_consistency_study(
+                exponential(), [100, 400], poly_log_growth(), 40, seed=1234,
+            )
+            assert again.rows == small_report.rows
+
     def test_exact_gev_member_with_fixed_blocks(self):
         # block maxima of exact GEV data are exactly GEV whatever m is,
         # so the shape error shrinks even with m frozen
