@@ -10,9 +10,13 @@ The lab also owns the format of every study file: the CSV rows, the
 """
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -251,6 +255,64 @@ def _error_boxes(rows: Sequence[StudyRow], gamma0: float) -> list[tuple[float, .
     return [tuple(map(float, np.percentile(e, [0, 25, 50, 75, 100]))) for e in errors]
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on: the most fit workers a study forks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fit_block(values):
+    """One block's fits.  A module-level function, so a pool can send it by
+    name; it calls this module's ``fit_mle`` binding where it runs."""
+    return fit_mle(values)
+
+
+def _ignore_sigint():
+    """Pool initializer: Ctrl-C interrupts the study, not each worker."""
+    import signal  # here, so that importing blockmax does not load it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _fitted_blocks(blocks, n_blocks):
+    """``(item, fits)`` for each ``(item, values)`` of ``blocks``, in order.
+
+    Each block's values are fitted by ``_fit_block`` in one of
+    ``min(_worker_count(), n_blocks)`` forked workers, with at most two
+    blocks per worker in flight; the caller keeps drawing the next blocks
+    meanwhile.  Workers are forked, not spawned, so they import nothing
+    and run this module's bindings as the caller has them, a wrapped
+    ``fit_mle`` included.  A worker that dies raises ``BrokenProcessPool``
+    here instead of leaving the study waiting.  With one worker, no
+    ``fork`` start method or a daemonic caller (which may not have
+    children), each block is fitted in this process as it is drawn.  The
+    fits are the same either way.
+    """
+    workers = min(_worker_count(), n_blocks)
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_ignore_sigint)
+    window = 1 if pool is None else 2 * workers
+    with contextlib.nullcontext() if pool is None else pool:  # leaving a pool joins its workers
+        pending = collections.deque()
+        for item, values in blocks:
+            pending.append((item, functools.partial(_fit_block, values) if pool is None
+                            else pool.submit(_fit_block, values).result))
+            if len(pending) == window:
+                item, fits = pending.popleft()
+                yield item, fits()
+        for item, fits in pending:
+            yield item, fits()
+
+
 def run_consistency_study(
     dist: ReferenceDistribution,
     n_grid: Sequence[int],
@@ -266,18 +328,26 @@ def run_consistency_study(
     constants.  A cell's replications are drawn and fitted in blocks of
     ``BLOCK_VALUES // n`` of them (at least one): one ``fit_mle`` call
     per block, one series per row, which gives every replication the
-    fit it would get on its own.  Non-converged fits are recorded with
-    their flag, never dropped.
+    fit it would get on its own.  This process draws and scores every
+    replication; the blocks are fitted on every available CPU
+    (``_fitted_blocks``), and the rows do not depend on how many there
+    are.  Non-converged fits are recorded with their flag, never dropped.
     """
     if not dist.gamma0 > -1.0:
         raise ValueError("study requires an index above -1")
     rows: list[StudyRow] = []
     summaries: list[StudySummary] = []
     truth = GevParams(dist.gamma0, 0.0, 1.0)
-    for n, constants, reps in _cells(dist, n_grid, growth, replications, seed, 0):
-        cell_rows: list[StudyRow] = []
-        while block := list(itertools.islice(reps, max(1, BLOCK_VALUES // n))):
-            fits = fit_mle(np.array([series.values for series, _ in block]))
+
+    def blocks():
+        for n, constants, reps in _cells(dist, n_grid, growth, replications, seed, 0):
+            while block := list(itertools.islice(reps, max(1, BLOCK_VALUES // n))):
+                yield (n, constants, block), np.array([series.values for series, _ in block])
+
+    n_blocks = sum(-(-replications // max(1, BLOCK_VALUES // int(n))) for n in n_grid)
+    cell_rows: list[StudyRow] = []
+    with contextlib.closing(_fitted_blocks(blocks(), n_blocks)) as fitted:
+        for (n, constants, block), fits in fitted:
             for (_, normalized), result in zip(block, fits):
                 cell_rows.append(StudyRow(
                     n=n,
@@ -290,12 +360,15 @@ def run_consistency_study(
                     ks=ks_distance(normalized, dist.gamma0),
                     mean_ll_truth=empirical_mean_loglik(normalized, truth),
                 ))
-        rows.extend(cell_rows)
-        summaries.append(StudySummary(
-            n, constants.m, *(box[1:4] for box in _error_boxes(cell_rows, dist.gamma0)),
-            frac_converged=sum(r.converged for r in cell_rows) / replications,
-            median_ks=float(np.median([r.ks for r in cell_rows])),
-        ))
+            if len(cell_rows) < replications:
+                continue
+            rows.extend(cell_rows)
+            summaries.append(StudySummary(
+                n, constants.m, *(box[1:4] for box in _error_boxes(cell_rows, dist.gamma0)),
+                frac_converged=sum(r.converged for r in cell_rows) / replications,
+                median_ks=float(np.median([r.ks for r in cell_rows])),
+            ))
+            cell_rows = []
     return StudyReport(
         dist_spec=dist.spec or dist.name,
         gamma0=dist.gamma0,

@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import os
 import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from blockmax import (
     slow_growth,
     validate_study_config,
 )
+from blockmax import lab
 from blockmax.lab import (CrucialLemmaRow, ObstructionRow, StudyRow, _error_boxes, csv_lines,
                           read_csv)
 
@@ -164,8 +169,6 @@ class TestConsistencyStudy:
 
     def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, small_report):
         # replications are fitted in blocks of BLOCK_VALUES // n; each fit is the lone fit
-        from blockmax import lab
-
         for block_values in (1, 10**9):
             monkeypatch.setattr(lab, "BLOCK_VALUES", block_values)
             again = run_consistency_study(
@@ -187,6 +190,110 @@ class TestConsistencyStudy:
             run_consistency_study(
                 gev_reference(-1.5), [100], poly_log_growth(), 2, seed=1,
             )
+
+
+def _small_study(n_grid=(100, 400)):
+    return run_consistency_study(exponential(), n_grid, poly_log_growth(), 40, seed=1234)
+
+
+class TestPooledFits:
+    """A study fits its blocks in forked workers; nothing it returns may
+    depend on how many (``tests/conftest.py`` also checks that none is
+    left running)."""
+
+    BLOCKS = 4 + 14
+
+    @pytest.fixture(autouse=True)
+    def uneven_blocks(self, monkeypatch):
+        # blocks of 13, 13, 13 and 1 series at n = 100, and 13 blocks of 3 and one of 1 at n = 400
+        monkeypatch.setattr(lab, "BLOCK_VALUES", 1_300)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch, workers, small_report):
+        monkeypatch.setattr(lab, "_worker_count", lambda: workers)
+        report = _small_study()
+        assert report.rows == small_report.rows
+        assert report.csv_lines() == small_report.csv_lines()
+        assert report.summary_lines() == small_report.summary_lines()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_local_wrapping_closure_runs_pooled(self, monkeypatch, workers, small_report):
+        # benchmarks/tracing.py wraps lab.fit_mle in a closure, which cannot be
+        # pickled; the workers run their forked copy of it, so this process sees
+        # no call
+        calls = []
+
+        def wrapped(values):
+            calls.append(len(values))
+            return fit_mle(values)
+
+        monkeypatch.setattr(lab, "fit_mle", wrapped)
+        monkeypatch.setattr(lab, "_worker_count", lambda: workers)
+        assert _small_study().csv_lines() == small_report.csv_lines()
+        assert calls == []
+
+    def test_a_raising_fit_surfaces_as_in_the_inline_run(self, monkeypatch):
+        def failing(values):
+            if len(values) == 1:  # the fourth block, the last of cell n = 100
+                raise RuntimeError(f"no fit for a block of shape {values.shape}")
+            return fit_mle(values)
+
+        monkeypatch.setattr(lab, "fit_mle", failing)
+        raised = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(lab, "_worker_count", lambda: workers)
+            with pytest.raises(RuntimeError) as info:
+                _small_study()
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(RuntimeError, "no fit for a block of shape (1, 100)")] * 3
+
+    def test_a_dying_worker_raises_instead_of_hanging(self, monkeypatch):
+        parent = os.getpid()
+
+        def dying(values):
+            if len(values) == 1 and os.getpid() != parent:
+                os._exit(3)
+            return fit_mle(values)
+
+        monkeypatch.setattr(lab, "fit_mle", dying)
+        monkeypatch.setattr(lab, "_worker_count", lambda: 2)
+        with pytest.raises(BrokenProcessPool):
+            _small_study()
+
+    def test_workers_ignore_sigint(self, monkeypatch):
+        parent = os.getpid()
+
+        def checked(values):
+            handler = signal.getsignal(signal.SIGINT)
+            if os.getpid() == parent or handler is not signal.SIG_IGN:
+                raise AssertionError(f"fitted in pid {os.getpid()} with SIGINT handler {handler!r}")
+            return fit_mle(values)
+
+        monkeypatch.setattr(lab, "fit_mle", checked)
+        monkeypatch.setattr(lab, "_worker_count", lambda: 2)
+        _small_study()
+
+    @pytest.mark.parametrize("case", ["one cpu", "one block", "no fork", "daemonic caller"])
+    def test_fits_in_this_process_without_a_pool(self, monkeypatch, case, small_report):
+        calls = []
+
+        def counted(values):
+            calls.append(len(values))
+            return fit_mle(values)
+
+        monkeypatch.setattr(lab, "fit_mle", counted)
+        monkeypatch.setattr(lab, "_worker_count", lambda: 1 if case == "one cpu" else 2)
+        n_grid, blocks, rows = (100, 400), self.BLOCKS, small_report.rows
+        if case == "one block":
+            monkeypatch.setattr(lab, "BLOCK_VALUES", 10**9)
+            n_grid, blocks, rows = [100], 1, rows[:40]
+        elif case == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        elif case == "daemonic caller":
+            daemon = type("Daemon", (), {"daemon": True})()
+            monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        assert _small_study(n_grid).rows == rows
+        assert (len(calls), sum(calls)) == (blocks, len(rows))
 
 
 class TestCrucialLemma:
@@ -284,8 +391,6 @@ class TestCellLoop:
     def test_every_replication_passes_the_traced_bindings(self, monkeypatch, check, expected):
         # the benchmark's blocks.*.busy_s metrics wrap these names in blockmax.lab;
         # a replication that reached them another way would go untimed
-        from blockmax import lab
-
         counts = dict.fromkeys(expected, 0)
 
         def counting(name):
