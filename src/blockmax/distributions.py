@@ -93,15 +93,9 @@ def norm_constants(dist: ReferenceDistribution, m: int) -> NormalizingConstants:
     return NormalizingConstants(a_m=a_m, b_m=b_m, m=int(m))
 
 
-def sample_iid(dist: ReferenceDistribution, n: int, seed, m: int = 1) -> np.ndarray:
-    """n i.i.d. draws of F^m by inverse transform; deterministic given seed.
-
-    With m = 1 these are draws of F.  With m > 1 each value is the maximum
-    of a block of m, drawn in one step as quantile(U^(1/m)): V = U^(1/m)
-    is formed through log V = log(U)/m, and where V >= 1/2 the draw is
-    upper_quantile(1 - V) with 1 - V = -expm1(log V), so neither tail
-    rounds 1 - V.
-    """
+def _uniforms(dist: ReferenceDistribution, n: int, seed, m: int) -> np.ndarray:
+    """The n uniforms behind ``sample_iid(dist, n, seed, m)``, with 0 moved
+    to the smallest positive float; refuses what ``sample_iid`` refuses."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1:
@@ -111,18 +105,47 @@ def sample_iid(dist: ReferenceDistribution, n: int, seed, m: int = 1) -> np.ndar
             f"member '{dist.name}' has no upper_quantile; "
             f"block maxima of length {m} cannot be drawn exactly"
         )
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
+    u = np.random.default_rng(seed).random(n)
     u[u == 0.0] = np.nextafter(0.0, 1.0)
+    return u
+
+
+def _block_max_quantile(dist: ReferenceDistribution, u: np.ndarray, m: int) -> np.ndarray:
+    """quantile(u^(1/m)): the F^m quantile of each uniform in ``u``.
+
+    V = u^(1/m) is formed through log V = log(u)/m, and where V >= 1/2
+    the value is upper_quantile(1 - V) with 1 - V = -expm1(log V), so
+    neither tail rounds 1 - V.  The map is non-decreasing in u.
+    """
     if m == 1:
         return np.asarray(dist.quantile(u), dtype=float)
     log_v = np.log(u) / m
     v = np.exp(log_v)
     lower = v < 0.5
-    out = np.empty(n)
+    out = np.empty(u.size)
     out[lower] = dist.quantile(v[lower])
     out[~lower] = dist.upper_quantile(-np.expm1(log_v[~lower]))
     return out
+
+
+def sample_iid(dist: ReferenceDistribution, n: int, seed, m: int = 1) -> np.ndarray:
+    """n i.i.d. draws of F^m by inverse transform; deterministic given seed.
+
+    With m = 1 these are draws of F.  With m > 1 each value is the maximum
+    of a block of m, drawn in one step as quantile(U^(1/m))
+    (``_block_max_quantile``), not as the maximum of m draws.
+    """
+    return _block_max_quantile(dist, _uniforms(dist, n, seed, m), m)
+
+
+def sample_min(dist: ReferenceDistribution, n: int, seed, m: int = 1) -> np.ndarray:
+    """``np.min(sample_iid(dist, n, seed, m))`` as a one-value array, bit for bit.
+
+    It draws the same n uniforms but transforms only the smallest: the
+    F^m quantile map is non-decreasing, so the smallest uniform maps to
+    the smallest draw (David & Nagaraja, *Order Statistics*, 2003, §1.1).
+    """
+    return _block_max_quantile(dist, _uniforms(dist, n, seed, m).min(keepdims=True), m)
 
 
 # --- catalog members ----------------------------------------------------

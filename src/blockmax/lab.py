@@ -30,7 +30,7 @@ from .blocks import (
     normalize,
 )
 from .distributions import (NormalizingConstants, ReferenceDistribution, from_spec,
-                            norm_constants, parse_key_values, sample_iid)
+                            norm_constants, parse_key_values, sample_iid, sample_min)
 from .fit import BLOCK_VALUES, fit_mle
 from .gev import EULER_GAMMA, GevParams
 
@@ -225,12 +225,16 @@ def _cells(
     replications: int,
     seed: int,
     stream: int,
+    draw: Optional[Callable[..., np.ndarray]] = None,
 ) -> Iterator[tuple[int, NormalizingConstants, Iterator]]:
     """The Monte Carlo cell loop of every check: ``(n, constants, reps)`` per grid point.
 
-    ``constants`` are exact for m = rule(n); ``reps`` yields each replication's n
-    block maxima of length m, raw and normalized, drawn directly from F^m (n draws,
-    not n*m) on the stream ``SeedSequence(seed, spawn_key=(stream, cell, rep))``.
+    ``constants`` are exact for m = rule(n); ``reps`` yields each replication's
+    block maxima of length m, raw and normalized, as ``draw(dist, n, rng, m)``
+    returns them on the stream ``SeedSequence(seed, spawn_key=(stream, cell, rep))``.
+    ``draw`` defaults to this module's ``sample_iid`` binding, looked up at each
+    call: n maxima drawn directly from F^m (n draws, not n*m).  The obstruction
+    check passes ``sample_min``, the smallest of those n maxima, bit for bit.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -239,7 +243,7 @@ def _cells(
         m = constants.m
         for rep in range(replications):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
-            series = BlockMaximaSeries(sample_iid(dist, n, rng, m), m)
+            series = BlockMaximaSeries((draw or sample_iid)(dist, n, rng, m), m)
             yield series, normalize(series, constants)
 
     for cell, n in enumerate(n_grid):
@@ -442,6 +446,21 @@ def _obstruction_applies(dist: ReferenceDistribution) -> bool:
     return dist.gamma0 > 0.0 and dist.left_endpoint == -math.inf
 
 
+def _obstruction_rule_problems(slow: GrowthRule, fast: GrowthRule,
+                               slow_name: str, fast_name: str) -> list[str]:
+    """Why the two rules cannot be the obstruction check's slow and fast rules:
+    the slow one must fail the growth condition m(n)/log(n) -> inf, the fast
+    one must meet it."""
+    problems = []
+    if slow.satisfies_growth_condition:
+        problems.append(f"obstruction check requires a {slow_name} rule without "
+                        f"m(n)/log(n) -> inf, got '{slow.describe()}'")
+    if not fast.satisfies_growth_condition:
+        problems.append(f"obstruction check requires a {fast_name} rule with "
+                        f"m(n)/log(n) -> inf, got '{fast.describe()}'")
+    return problems
+
+
 def check_slow_growth_obstruction(
     dist: ReferenceDistribution,
     n_grid: Sequence[int],
@@ -455,13 +474,21 @@ def check_slow_growth_obstruction(
     For a heavy-tailed member with left endpoint -inf, a slowly growing
     block length lets the smallest normalized maximum run away to -inf,
     which destroys the feasible region around the truth; a fast schedule
-    keeps it bounded.
+    keeps it bounded.  ``slow`` must fail the growth condition
+    m(n)/log(n) -> inf and ``fast`` must meet it.  Each replication draws
+    its n uniforms but maps only the smallest to a block maximum
+    (``sample_min``), which is the smallest of the n maxima ``sample_iid``
+    would draw, bit for bit.
     """
     if not _obstruction_applies(dist):
         raise ValueError(_OBSTRUCTION_NEEDS)
+    problems = _obstruction_rule_problems(slow, fast, "slow", "fast")
+    if problems:
+        raise ValueError("; ".join(problems))
     columns = [[(constants.m,
                  float(np.median([float(np.min(normalized)) for _, normalized in reps])))
-                for _, constants, reps in _cells(dist, n_grid, rule, replications, seed, stream)]
+                for _, constants, reps in _cells(dist, n_grid, rule, replications, seed, stream,
+                                                 sample_min)]
                for stream, rule in ((2, slow), (3, fast))]
     return [ObstructionRow(n=int(n), m_slow=m_slow, median_min_slow=slow_min,
                            m_fast=m_fast, median_min_fast=fast_min)
@@ -671,6 +698,9 @@ def validate_study_config(config: StudyConfig) -> ReferenceDistribution:
     if "obstruction" in config.checks:
         if config.slow_growth is None:
             problems.append("obstruction check requires a slow_growth rule")
+        else:
+            problems.extend(_obstruction_rule_problems(config.slow_growth, config.growth,
+                                                       "slow_growth", "growth"))
         if dist is not None and not _obstruction_applies(dist):
             problems.append(_OBSTRUCTION_NEEDS)
     elif config.slow_growth is not None:

@@ -22,6 +22,7 @@ from blockmax import (
     quantile_matched_constants,
     sample_iid,
 )
+from blockmax.distributions import sample_min
 
 
 class TestNormConstants:
@@ -185,6 +186,51 @@ class TestBlockMaximumDraws:
     def test_block_length_must_be_positive(self):
         with pytest.raises(ValueError, match="m must be >= 1"):
             sample_iid(cauchy(), 10, 1, 0)
+
+
+MIN_MEMBERS = MEMBERS + [pareto(0.5), beta_tail(1.25),
+                         gev_reference(-0.8), gev_reference(0.0), gev_reference(2.0)]
+
+
+class TestSmallestDraw:
+    """sample_min(dist, n, seed, m) is np.min(sample_iid(dist, n, seed, m)), bit for bit."""
+
+    @pytest.mark.parametrize("dist", MIN_MEMBERS, ids=[d.name for d in MIN_MEMBERS])
+    def test_is_the_smallest_full_draw(self, dist):
+        for n in (1, 2, 3, 50, 1_000, 20_000):
+            for m in (1, 2, 3, 4, 48, 133, 10_000):
+                for seed in range(15):
+                    key = np.random.SeedSequence(seed, spawn_key=(n, m))
+                    smallest = sample_min(dist, n, key, m)
+                    assert smallest.shape == (1,)
+                    assert smallest.tobytes() == np.min(sample_iid(dist, n, key, m)).tobytes(), \
+                        (n, m, seed)
+
+    def test_zero_uniform_takes_the_same_fix(self, monkeypatch):
+        # a uniform of exactly 0 (probability 2^-53 per draw) becomes the
+        # smallest positive float in both draws, so its image is finite
+        # and is the quantile of that float
+        class ZeroFirst:
+            def random(self, n):
+                return np.linspace(0.0, 0.9, n)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroFirst())
+        tiny = np.nextafter(0.0, 1.0)
+        for dist, m, expected in ((exponential(), 1, tiny),
+                                  (cauchy(), 3, -1.0 / np.tan(np.pi * tiny ** (1 / 3)))):
+            smallest = sample_min(dist, 4, 0, m)
+            assert smallest.tobytes() == np.min(sample_iid(dist, 4, 0, m)).tobytes()
+            assert smallest[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, dist, match", [
+        (0, 1, cauchy(), "n must be >= 1"),
+        (10, 0, cauchy(), "m must be >= 1"),
+        (10, 3, dataclasses.replace(cauchy(), upper_quantile=None), "'cauchy'"),
+    ])
+    def test_refuses_what_sample_iid_refuses(self, n, m, dist, match):
+        for draw in (sample_iid, sample_min):
+            with pytest.raises(ValueError, match=match):
+                draw(dist, n, 1, m)
 
 
 class TestCatalog:

@@ -384,14 +384,10 @@ class TestCellLoop:
             m_fast=fast.block_length(3_000), median_min_fast=medians[1],
         )
 
-    @pytest.mark.parametrize("check,expected", [
-        (run_consistency_study, {"normalize": 6, "ks_distance": 6, "empirical_mean_loglik": 6}),
-        (check_crucial_lemma, {"normalize": 6, "ks_distance": 0, "empirical_mean_loglik": 6}),
-    ], ids=["consistency", "crucial_lemma"])
-    def test_every_replication_passes_the_traced_bindings(self, monkeypatch, check, expected):
-        # the benchmark's blocks.*.busy_s metrics wrap these names in blockmax.lab;
-        # a replication that reached them another way would go untimed
-        counts = dict.fromkeys(expected, 0)
+    @staticmethod
+    def _count_calls(monkeypatch, names):
+        """Wrap each of ``names`` in blockmax.lab; returns the live call counts."""
+        counts = dict.fromkeys(names, 0)
 
         def counting(name):
             original = getattr(lab, name)
@@ -402,10 +398,29 @@ class TestCellLoop:
 
             monkeypatch.setattr(lab, name, counted)
 
-        for name in expected:
+        for name in names:
             counting(name)
+        return counts
+
+    @pytest.mark.parametrize("check,expected", [
+        (run_consistency_study, {"sample_iid": 6, "sample_min": 0, "normalize": 6,
+                                 "ks_distance": 6, "empirical_mean_loglik": 6}),
+        (check_crucial_lemma, {"sample_iid": 6, "sample_min": 0, "normalize": 6,
+                               "ks_distance": 0, "empirical_mean_loglik": 6}),
+    ], ids=["consistency", "crucial_lemma"])
+    def test_every_replication_passes_the_traced_bindings(self, monkeypatch, check, expected):
+        # the benchmark's blocks.*.busy_s metrics wrap these names in blockmax.lab;
+        # a replication that reached them another way would go untimed
+        counts = self._count_calls(monkeypatch, expected)
         check(pareto(1.0), [50, 120], poly_log_growth(), 3, 4)  # 2 cells x 3 replications
         assert counts == expected
+
+    def test_obstruction_transforms_only_the_smallest_uniform(self, monkeypatch):
+        # 2 rules x 2 cells x 3 replications, each one sample_min call and no full draw
+        counts = self._count_calls(monkeypatch, ("sample_iid", "sample_min", "normalize"))
+        check_slow_growth_obstruction(cauchy(), [1_000, 3_000], slow_growth(),
+                                      poly_log_growth(), 3, 9)
+        assert counts == {"sample_iid": 0, "sample_min": 12, "normalize": 12}
 
 
 class TestObstruction:
@@ -492,6 +507,16 @@ class TestObstruction:
             check_slow_growth_obstruction(
                 gev_reference(1.0), [1_000], slow_growth(), poly_log_growth(), 5, seed=7,
             )
+
+    def test_swapped_rules_refused(self):
+        # slow_growth() as the fast rule and poly_log_growth() as the slow
+        # one would give rows with m_slow = 48 > m_fast = 3
+        with pytest.raises(ValueError) as err:
+            check_slow_growth_obstruction(cauchy(), [1_000], poly_log_growth(), slow_growth(), 3, 1)
+        assert str(err.value) == (
+            "obstruction check requires a slow rule without m(n)/log(n) -> inf, "
+            "got 'poly_log:c=1,a=2'; obstruction check requires a fast rule with "
+            "m(n)/log(n) -> inf, got 'slow:c=1,offset=1'")
 
     def test_bounded_support_keeps_minima_bounded(self):
         # direct version of the support-bound fact for the GEV(1) member
@@ -612,6 +637,25 @@ checks = obstruction
 """)
         with pytest.raises(ValueError, match="obstruction"):
             validate_study_config(parse_study_config(path))
+
+    def test_obstruction_rules_must_be_slow_and_fast(self, tmp_path):
+        path = self.write(tmp_path, """
+dist = cauchy
+n_grid = 100, 400
+growth = slow:c=1,offset=1
+slow_growth = poly_log:c=1,a=2
+replications = 2
+seed = 5
+checks = obstruction
+""")
+        with pytest.raises(ValueError) as err:
+            validate_study_config(parse_study_config(path))
+        assert str(err.value).splitlines()[1:] == [
+            "  - obstruction check requires a slow_growth rule without m(n)/log(n) -> inf, "
+            "got 'poly_log:c=1,a=2'",
+            "  - obstruction check requires a growth rule with m(n)/log(n) -> inf, "
+            "got 'slow:c=1,offset=1'",
+        ]
 
     def test_unit_block_cells_listed(self, tmp_path):
         # m = 1 has no exact constants; every such cell is named with its rule
