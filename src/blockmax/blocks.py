@@ -83,12 +83,11 @@ def ks_distance(values, gamma: float) -> float:
 
 def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
     """Mean of ``gev_loglik3`` over ``x``, behind ``empirical_mean_loglik`` and
-    ``fit.sample_loglik``; -inf if any point scores -inf or the sum overflows."""
+    ``fit.sample_loglik``; -inf if any point scores -inf (it carries through
+    the sum) or the sum overflows."""
     if x.size == 0:
         raise ValueError("empty series")
     ll = np.atleast_1d(gev_loglik3(params, x))
-    if (ll == -np.inf).any():
-        return float("-inf")
     with np.errstate(over="ignore"):
         return float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
 

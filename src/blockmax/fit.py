@@ -15,10 +15,12 @@ Newton ascent and the verdict each run on all rows still in play with
 one array pass per step, and a row leaves the ascent when it converges,
 stalls or reaches ``MAX_ITERS``.  One kernel, ``_loglik_rows``, computes
 every log-likelihood of the fit, and the gradient and Hessian at an
-accepted point in the same pass.  Rows never mix: each row's sums run in
-the order they would on their own, so every row's ``FitResult`` is bit
-for bit the one-series fit of that row.  No kernel array holds more than
-``BLOCK_VALUES`` values (or one row, where a row is longer).
+accepted point in the same pass; the density itself comes from
+``gev._log_density``, as it does for every one-series function.  Rows
+never mix: each row's sums run in the order they would on their own, so
+every row's ``FitResult`` is bit for bit the one-series fit of that row.
+No kernel array holds more than ``BLOCK_VALUES`` values (or one row,
+where a row is longer).
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .gev import (
     EULER_GAMMA,
     GevParams,
     _derivative_columns,
+    _log_density,
     _shape,
     _split_means,
     gev_loglik3,
@@ -109,29 +112,13 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
         for lo in range(0, len(theta), chunk):
             part = slice(lo, lo + chunk)
             gamma, mu, sigma = theta[part].T.copy()[:, :, None]  # contiguous columns
-            g = _shape(gamma)
-            gumbel = g[:, 0] == 0.0
-            g_or_1 = np.where(gumbel[:, None], 1.0, g) if gumbel.any() else g
             # math.log and ** row by row, as the one-series code takes them: np.log
             # and np.square can round differently in the last bit
             log_sigma = np.array([[math.log(s)] for s in sigma[:, 0].tolist()])
-            # _standardized and gev_loglik3 on every row; -log_w/g is log_w/(-g) bit
-            # for bit.  A row with an observation outside (w <= 0) or an overflowing
-            # e is -inf.
             z = ((X[part] if rows is None else X[rows[part]]) - mu) / sigma
-            gz = g * z
-            w = 1.0 + gz
-            log_w = np.log1p(gz)
-            e = np.exp(log_w / -g_or_1)
-            ll = -(1.0 + 1.0 / g_or_1) * log_w - e
-            if g_or_1 is not g:
-                w[gumbel] = 1.0
-                e[gumbel] = np.exp(-z[gumbel])
-                ll[gumbel] = -z[gumbel] - e[gumbel]
-            ll -= log_sigma
-            vals = ll.sum(axis=1) / n
-            vals[~(w.min(axis=1) > 0.0) | (e.max(axis=1) == np.inf)] = -np.inf
-            values[part] = vals
+            g, w, e, ll = _log_density(gamma, z)
+            ll -= log_sigma  # gev_loglik3 on every row; a -inf carries through the sum
+            values[part] = vals = ll.sum(axis=1) / n
             if means is None:
                 continue
             want = vals >= (floor if np.ndim(floor) == 0 else floor[part])
@@ -151,11 +138,9 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
 
 def _margins(theta, X):
     """``feasibility_margin`` of each row of ``X`` at the matching row of ``theta``."""
-    g = _shape(theta[:, 0])
     ends = np.stack([X.min(axis=1), X.max(axis=1)], axis=1)
     with np.errstate(all="ignore"):
-        w = 1.0 + g[:, None] * ((ends - theta[:, 1:2]) / theta[:, 2:3])
-    w[g == 0.0] = 1.0
+        _, w, _, _ = _log_density(theta[:, :1], (ends - theta[:, 1:2]) / theta[:, 2:3])
     return np.where(w[:, 1] < w[:, 0], w[:, 1], w[:, 0])
 
 

@@ -4,6 +4,10 @@ Shape convention: positive ``gamma`` means a heavy right tail, negative
 ``gamma`` a finite right endpoint, ``gamma == 0`` the Gumbel case.  All
 log-likelihood functions return ``-inf`` outside the support instead of
 raising, so optimizers can treat infeasible points uniformly.
+
+The standardized log-density is written once, in ``_log_density``: the
+log-likelihoods, the CDF, the derivatives, and the fit's row kernel and
+feasibility margins all read it, for one shape or for one shape per row.
 """
 from __future__ import annotations
 
@@ -78,29 +82,43 @@ def params_support(params: GevParams) -> SupportInterval:
     )
 
 
-def _support_factor(gamma: float, z):
-    """``(g, w)``: the shape in use, ``_shape(gamma)``, and w = 1 + g*z
-    (1.0 in the Gumbel limit); the support is w > 0."""
-    g = _shape(gamma)
-    return (g, 1.0 + g * z) if g else (0.0, 1.0)
+def _log_density(gamma, z):
+    """The standardized GEV log-density at ``z`` and the pieces it is built from.
 
-
-def _standardized(gamma: float, z: np.ndarray):
-    """The pieces every standardized-GEV formula is built from.
-
-    Returns ``(g, inside, w, log_w, e)``: g and w from ``_support_factor``,
-    the support mask w > 0 (plain True in the limit), log_w = log1p(g*z)
-    (None in the limit; 0 outside the support) and e = w^(-1/g) from
-    log_w, which stays accurate near g*z = 0; e is exp(-z) in the limit.
-    Callers set their own ``np.errstate``: e overflows to inf far in the
-    lower tail.
+    ``gamma`` is one shape, or a column of shapes, one per row of ``z``
+    (at least 1-d).  Returns ``(g, w, e, ll)``: the shape in use
+    g = ``_shape(gamma)``, the support factor w = 1 + g*z (the support is
+    w > 0), e = w^(-1/g), formed from log1p(g*z) so that it stays accurate
+    near g*z = 0, and ll = -(1 + 1/g) log(w) - e.  Rows in the Gumbel limit
+    read w = 1, e = exp(-z) and ll = -z - e.  ll is -inf where w <= 0 or e
+    overflows; only a row whose smallest w or largest e says so is masked
+    element by element, and a sum over such a row is -inf.  e is NaN where
+    w < 0.
     """
-    g, w = _support_factor(gamma, z)
-    if not g:
-        return 0.0, True, 1.0, None, np.exp(-z)
-    inside = w > 0
-    log_w = np.log1p(np.where(inside, g * z, 0.0))
-    return g, inside, w, log_w, np.exp(-log_w / g)
+    g = _shape(gamma)
+    limit = np.asarray(g == 0.0)  # one flag, or one per row
+    patch = limit.any()
+    with np.errstate(all="ignore"):
+        if patch and limit.all():
+            w, e = np.ones_like(z), np.exp(-z)
+            ll = -z - e
+        else:
+            g_or_1 = np.where(limit, 1.0, g) if patch else g
+            gz = g * z
+            w = 1.0 + gz
+            log_w = np.log1p(gz)
+            e = np.exp(log_w / -g_or_1)
+            ll = -(1.0 + 1.0 / g_or_1) * log_w - e
+            if patch:
+                rows = np.flatnonzero(limit)
+                w[rows] = 1.0
+                e[rows] = np.exp(-z[rows])
+                ll[rows] = -z[rows] - e[rows]
+        if z.size:  # the row reductions need values; an empty z has nothing to mask
+            bad = ~((w.min(axis=-1) > 0.0) & (e.max(axis=-1) < np.inf))  # NaN counts as bad
+            if bad.any():
+                ll[bad] = np.where((w[bad] > 0.0) & (e[bad] != np.inf), ll[bad], -np.inf)
+    return g, w, e, ll
 
 
 def _elementwise(func):
@@ -125,10 +143,8 @@ def gev_cdf(gamma: float, x) -> float | np.ndarray:
     Evaluates exp(-(1+gamma*x)^(-1/gamma)), extended by 0 below the
     support (gamma>0) and 1 above it (gamma<0).
     """
-    with np.errstate(over="ignore"):
-        g, inside, _, _, e = _standardized(gamma, x)
-        out = np.exp(-e)
-    return np.where(inside, out, 0.0 if g > 0 else 1.0)
+    g, w, e, _ = _log_density(gamma, x)
+    return np.where(w > 0.0, np.exp(-e), 0.0 if g > 0 else 1.0)
 
 
 @_elementwise
@@ -173,11 +189,7 @@ def gev_sample(params: GevParams, n: int, seed) -> np.ndarray:
 @_elementwise
 def gev_loglik(gamma: float, x) -> float | np.ndarray:
     """Log-density of the standardized GEV; -inf outside the support."""
-    with np.errstate(over="ignore", invalid="ignore"):  # e = inf gives inf - inf
-        g, inside, _, log_w, e = _standardized(gamma, x)
-        out = -x - e if log_w is None else -(1.0 + 1.0 / g) * log_w - e
-        out = np.where(np.isinf(e), -np.inf, out)
-    return np.where(inside, out, -np.inf)
+    return _log_density(gamma, x)[3]
 
 
 def gev_loglik3(params: GevParams, x) -> float | np.ndarray:
@@ -214,8 +226,7 @@ def _derivatives(params: GevParams, x: np.ndarray, hessian: bool) -> list:
     (see ``_derivative_columns``)."""
     sigma = params.sigma
     z = (x - params.mu) / sigma
-    with np.errstate(over="ignore"):
-        gamma, _, w, _, e = _standardized(params.gamma, z)
+    gamma, w, e, _ = _log_density(params.gamma, z)
     if np.any(w <= 0):
         raise ValueError("gradient undefined on or outside the support boundary")
     return _derivative_columns(gamma, sigma, sigma**2, z, w, e, hessian)
@@ -290,8 +301,7 @@ def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
 @_elementwise
 def gev_loglik_x_derivative(gamma: float, x) -> float | np.ndarray:
     """Derivative of the standardized log-likelihood in x (interior only)."""
-    with np.errstate(over="ignore"):
-        g, _, w, _, e = _standardized(gamma, x)
+    g, w, e, _ = _log_density(gamma, x)
     if np.any(w <= 0):
         raise ValueError("derivative undefined outside the support")
     return (e - (1.0 + g)) / w

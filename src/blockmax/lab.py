@@ -43,7 +43,7 @@ class GrowthRule:
 
     kinds: ``poly_log`` m(n)=ceil(c*(log n)^a), ``power`` m(n)=ceil(n^a),
     ``fixed`` m(n)=c, ``slow`` m(n)=ceil(c*log(log n))+offset.  Only
-    poly_log with a>1 and power with 0<a<1 grow faster than log n.
+    poly_log with a>1 and power with a>0 grow faster than log n.
     ``PARAMS`` lists the parameters each kind reads, in spec order.
     """
 
@@ -86,7 +86,7 @@ class GrowthRule:
         if self.kind == "poly_log":
             return self.a > 1.0
         if self.kind == "power":
-            return 0.0 < self.a < 1.0
+            return self.a > 0.0
         return False
 
     def describe(self) -> str:

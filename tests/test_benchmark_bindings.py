@@ -39,8 +39,11 @@ def test_traced_binding_resolves(caller, name):
 
 def test_every_loglik_evaluation_passes_a_traced_binding(monkeypatch):
     # gev.gev_loglik3.calls counts calls through fit.gev_loglik3 and
-    # blocks.gev_loglik3; a mean log-likelihood that reached gev_loglik3 any
-    # other way would make that count read low
+    # blocks.gev_loglik3.  Its scope is the one-series functions and the lab:
+    # each gev_loglik call they make must pass one of those bindings, or the
+    # count would read low.  The fit's row kernel, fit._loglik_rows, reads
+    # gev._log_density without any traced binding, so the count leaves out
+    # the fit's own evaluations.
     import blockmax
     from blockmax import blocks, fit, gev
 

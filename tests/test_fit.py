@@ -283,13 +283,19 @@ class TestBatchedFit:
         assert any(r.converged for r in lone) and not all(r.converged for r in lone)
 
     def test_kernel_is_the_one_series_functions(self):
-        # one chunk mixing the Gumbel limit (0 and 1e-9), ordinary shapes and an
-        # infeasible row gives each row the bits of sample_loglik and gev_loglik_grad_hess
+        # one chunk mixing the Gumbel limit (0 and 1e-9), ordinary shapes, rows
+        # where e = w^(-1/gamma) overflows inside the support and an infeasible
+        # row gives each row the bits of sample_loglik and gev_loglik_grad_hess
         x = gev_sample(GevParams(0.2, 0.0, 1.0), 300, seed=73)
+        lo, hi = float(np.min(x)), float(np.max(x))
         thetas = [GevParams(0.0, 0.1, 1.2), GevParams(0.3, -0.1, 0.9), GevParams(1e-9, 0.0, 1.0),
-                  GevParams(-0.4, 0.2, 1.1), GevParams(2.0, float(np.max(x)), 0.05)]
+                  GevParams(-0.4, 0.2, 1.1),
+                  GevParams(1e-3, lo + 6.0, 0.01),            # z >= -600: e = 0.4^-1000
+                  GevParams(0.0, lo + 7.2, 0.01),             # z >= -720: e = exp(720)
+                  GevParams(-0.01, hi, (hi - lo) / 2e5),      # z >= -2e5: e = 2001^100
+                  GevParams(2.0, hi, 0.05)]
         values, means = fit_module._loglik_rows(
-            np.array([t.as_array() for t in thetas]), x[None], np.zeros(5, dtype=int),
+            np.array([t.as_array() for t in thetas]), x[None], np.zeros(len(thetas), dtype=int),
             floor=-np.inf)
         for theta, value, row in zip(thetas, values, means):
             assert value == sample_loglik(theta, x)

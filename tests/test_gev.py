@@ -277,7 +277,7 @@ def test_scalar_in_float_out(func, gamma):
         value = func(gamma, scalar)
         assert type(value) is float
         assert repr(value) == repr(float(func(gamma, np.array([0.4]))[0]))
-    for shape in ((1,), (3,), (2, 3)):
+    for shape in ((1,), (3,), (2, 3), (0,), (2, 0)):
         out = func(gamma, np.full(shape, 0.4))
         assert isinstance(out, np.ndarray) and out.shape == shape
 

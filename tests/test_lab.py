@@ -50,6 +50,11 @@ class TestGrowthRules:
         rule = GrowthRule("power", a=0.5)
         assert rule.block_length(400) == 20
         assert rule.satisfies_growth_condition
+        # n^a / log(n) -> inf for every a > 0, also where m(n) >= n
+        for a, m in ((1.0, 400), (1.5, 8000)):
+            rule = GrowthRule("power", a=a)
+            assert rule.block_length(400) == m
+            assert rule.satisfies_growth_condition
 
     def test_fixed_rule(self):
         rule = GrowthRule("fixed", c=7)
@@ -517,6 +522,15 @@ class TestObstruction:
             "obstruction check requires a slow rule without m(n)/log(n) -> inf, "
             "got 'poly_log:c=1,a=2'; obstruction check requires a fast rule with "
             "m(n)/log(n) -> inf, got 'slow:c=1,offset=1'")
+        # n^1.5 grows faster than log n: a slow rule it is not, a fast one it is
+        with pytest.raises(ValueError) as err:
+            check_slow_growth_obstruction(cauchy(), [100], GrowthRule("power", a=1.5),
+                                          poly_log_growth(), 3, 1)
+        assert str(err.value) == ("obstruction check requires a slow rule without "
+                                  "m(n)/log(n) -> inf, got 'power:a=1.5'")
+        rows = check_slow_growth_obstruction(cauchy(), [100], slow_growth(),
+                                             GrowthRule("power", a=1.5), 3, 1)
+        assert (rows[0].m_slow, rows[0].m_fast) == (3, 1000)
 
     def test_bounded_support_keeps_minima_bounded(self):
         # direct version of the support-bound fact for the GEV(1) member
@@ -656,6 +670,24 @@ checks = obstruction
             "  - obstruction check requires a growth rule with m(n)/log(n) -> inf, "
             "got 'slow:c=1,offset=1'",
         ]
+        # n^1.5 grows faster than log n: refused as the slow rule, taken as the fast one
+        config = """
+dist = cauchy
+n_grid = 100, 400
+growth = power:a=1.5
+slow_growth = {}
+replications = 2
+seed = 5
+checks = obstruction
+"""
+        with pytest.raises(ValueError) as err:
+            validate_study_config(parse_study_config(self.write(tmp_path, config.format(
+                "power:a=1.5"))))
+        assert str(err.value).splitlines()[1:] == [
+            "  - obstruction check requires a slow_growth rule without m(n)/log(n) -> inf, "
+            "got 'power:a=1.5'"]
+        validate_study_config(parse_study_config(self.write(tmp_path, config.format(
+            "slow:c=1,offset=1"))))
 
     def test_unit_block_cells_listed(self, tmp_path):
         # m = 1 has no exact constants; every such cell is named with its rule
