@@ -83,13 +83,18 @@ def ks_distance(values, gamma: float) -> float:
 
 def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
     """Mean of ``gev_loglik3`` over ``x``, behind ``empirical_mean_loglik`` and
-    ``fit.sample_loglik``; -inf if any point scores -inf (it carries through
-    the sum) or the sum overflows."""
+    ``fit.sample_loglik``; -inf if any point scores -inf (an infinite point
+    does) or the sum overflows.  NaN points are refused with a count."""
     if x.size == 0:
         raise ValueError("empty series")
     ll = np.atleast_1d(gev_loglik3(params, x))
     with np.errstate(over="ignore"):
-        return float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
+        mean = float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
+    if not mean > -np.inf:  # NaN data score -inf, or NaN in the Gumbel limit: look only then
+        n_nan = int(np.count_nonzero(np.isnan(x)))
+        if n_nan:
+            raise ValueError(f"{n_nan} NaN values among {x.size} observations")
+    return mean
 
 
 def empirical_mean_loglik(values, params: GevParams) -> float:

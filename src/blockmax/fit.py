@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -226,14 +225,15 @@ def pwm_init(series) -> GevParams:
 
     Standard sample L-moments with the rational shape approximation; the
     shape is clamped into a conservative sub-range and the result is
-    repaired into strict feasibility so the search starts finite.
+    repaired into strict feasibility so the search starts finite.  The
+    series passes ``fit_mle``'s input checks.  ``fit_mle`` takes the same
+    start on its standardized series, so the two agree up to rounding.
     """
-    x = np.sort(np.asarray(series, dtype=float)).reshape(1, -1)
-    if x.size < 3:
-        raise ValueError("need at least 3 observations")
-    if x[0, 0] == x[0, -1]:
-        raise ValueError("degenerate data: all observations equal")
-    theta, _, _ = _repair(_moment_starts(x), x)
+    x = np.asarray(series, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"pwm_init takes one series, got {x.ndim}-d input")
+    xs = np.sort(_checked_rows(x), axis=1)
+    theta, _, _ = _repair(_moment_starts(xs), xs)
     return GevParams.from_array(theta[0])
 
 
@@ -382,42 +382,40 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
 
 
 def _checked_rows(x: np.ndarray) -> np.ndarray:
-    """The series of ``x`` as rows of a matrix; bad input is refused before
-    any row is fitted, naming the row."""
-    if x.ndim <= 1:
-        if x.size < 3:
-            raise ValueError("need at least 3 observations to fit three parameters")
-        check_finite(x)
-        if np.min(x) == np.max(x):
-            raise ValueError("degenerate data: all observations equal")
-        return x.reshape(1, -1)
-    if x.ndim != 2:
+    """The series of ``x`` as rows of a matrix, one series being the one-row
+    matrix; bad input is refused before any row is fitted, and a matrix's
+    errors name the row."""
+    if x.ndim > 2:
         raise ValueError(f"expected one series or a matrix of series, one per row; "
                          f"got {x.ndim}-d input")
-    if x.shape[0] == 0:
+    matrix = x.ndim == 2
+    X = x if matrix else x.reshape(1, -1)
+    if not len(X):
         raise ValueError("empty matrix: no series to fit")
-    if x.shape[1] < 3:
+    if X.shape[1] < 3:
         raise ValueError(f"need at least 3 observations per row to fit three parameters, "
-                         f"got {x.shape[1]}")
-    finite = np.isfinite(x).all(axis=1)
+                         f"got {X.shape[1]}" if matrix else
+                         "need at least 3 observations to fit three parameters")
+    finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        check_finite(x[row], f"row {row}")
-    flat = x.min(axis=1) == x.max(axis=1)
+        check_finite(X[row], f"row {row}" if matrix else "")
+    flat = X.min(axis=1) == X.max(axis=1)
     if flat.any():
-        raise ValueError(f"row {int(np.argmax(flat))}: degenerate data: all observations equal")
-    return np.ascontiguousarray(x)
+        where = f"row {int(np.argmax(flat))}: " if matrix else ""
+        raise ValueError(f"{where}degenerate data: all observations equal")
+    return np.ascontiguousarray(X)
 
 
-def fit_mle(series, init: Optional[GevParams] = None):
+def fit_mle(series):
     """Find a local maximum of the mean GEV log-likelihood.
 
-    Newton ascent on y = (x - median) / IQR from the moment start, or
-    from ``init`` (repaired into feasibility) when given; the estimate is
-    mapped back to data units, so it moves with shifts and rescalings of
-    the data, and first- and second-order verification run on x.  Points
-    outside the feasible region (or with shape outside (-1, 10]) score
-    -inf and are never accepted.
+    Newton ascent on y = (x - median) / IQR from the moment start of y,
+    repaired into feasibility; the estimate is mapped back to data units,
+    so it moves with shifts and rescalings of the data, and first- and
+    second-order verification run on x.  Points outside the feasible
+    region (or with shape outside (-1, 10]) score -inf and are never
+    accepted.
 
     ``series`` is one series, which gives one ``FitResult``, or a matrix
     with one series per row, which gives a list with one ``FitResult`` per
@@ -430,13 +428,9 @@ def fit_mle(series, init: Optional[GevParams] = None):
     q1, center, q3 = np.percentile(X, (25.0, 50.0, 75.0), axis=1)
     scale = np.where(q3 > q1, q3 - q1, X.max(axis=1) - X.min(axis=1))
     Y = (X - center[:, None]) / scale[:, None]
-    if init is None:
-        start = _moment_starts(np.sort(Y, axis=1))
-    else:
-        start = np.array([GevParams(init.gamma, (init.mu - c) / s, init.sigma / s).as_array()
-                          for c, s in zip(center.tolist(), scale.tolist())])
     # the repair's pass is the ascent's first: value, gradient and Hessian, finite values only
-    start, current, means = _repair(start, Y, floor=-sys.float_info.max)
+    start, current, means = _repair(_moment_starts(np.sort(Y, axis=1)), Y,
+                                    floor=-sys.float_info.max)
 
     # d/dmu and d/dsigma in data units are 1/scale times those on y
     units = np.stack([np.ones(len(X)), 1.0 / scale, 1.0 / scale], axis=1)

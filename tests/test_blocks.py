@@ -18,6 +18,7 @@ from blockmax import (
     pareto,
     read_values,
     sample_iid,
+    sample_loglik,
     write_values,
 )
 
@@ -131,6 +132,15 @@ class TestEmpiricalMeanLoglik:
 
     def test_infeasible_point(self):
         assert empirical_mean_loglik([-2.0, 0.0], GevParams(1.0, 0.0, 1.0)) == -math.inf
+        # an infinite point scores -inf at every shape, in the Gumbel limit too;
+        # a NaN point is refused there and away from it alike
+        for gamma in (0.0, 0.3):
+            theta = GevParams(gamma, 0.0, 1.0)
+            for mean_loglik in (empirical_mean_loglik, lambda x, t: sample_loglik(t, x)):
+                assert mean_loglik([-math.inf, 1.0], theta) == -math.inf
+                assert mean_loglik([math.inf, 1.0], theta) == -math.inf
+                with pytest.raises(ValueError, match="1 NaN values among 2 observations"):
+                    mean_loglik([math.nan, 1.0], theta)
 
     def test_limit_value_for_exact_draws(self):
         from blockmax import expected_loglik

@@ -10,6 +10,7 @@ import pytest
 import blockmax
 from blockmax import read_values
 from blockmax.cli import main
+from blockmax.lab import ObstructionRow, csv_lines
 
 STUDY_CFG = """
 dist = pareto:alpha=1
@@ -131,7 +132,7 @@ class TestFit:
         assert record["converged"] == "true"
         assert int(record["n_blocks"]) == 10_000
 
-    def test_block_size_one_recovers_exact_gev(self, tmp_path):
+    def test_block_size_one_recovers_exact_gev(self, tmp_path, capsys):
         sim = tmp_path / "sim.txt"
         run("simulate", "--dist", "gev:gamma=0.5", "--n", 5_000, "--seed", 17, "--out", sim)
         out = tmp_path / "fit.txt"
@@ -143,6 +144,13 @@ class TestFit:
         assert abs(float(record["gamma_hat"]) - 0.5) < 0.1
         assert abs(float(record["mu_hat"])) < 0.1
         assert abs(float(record["sigma_hat"]) - 1.0) < 0.1
+        # without --out the same record goes to stdout; only the command line differs
+        assert run("fit", "--in", sim, "--block-size", 1) == 0
+        printed = capsys.readouterr().out.splitlines()
+        written = out.read_text().splitlines()
+        assert f"# command: fit --in {sim} --block-size 1" in printed
+        assert ([line for line in printed if not line.startswith("# command: ")]
+                == [line for line in written if not line.startswith("# command: ")])
 
     def test_empty_input(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -205,13 +213,16 @@ class TestGof:
 
     def test_non_finite_exit_two(self, tmp_path, capsys):
         data = tmp_path / "data.txt"
-        data.write_text("0.5\nnan\n-inf\n")
-        assert run("gof", "--in", data, "--gamma", 0.0) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1
-        assert "1 NaN and 1 infinite values among 3 observations" in err[0]
+        for text, problem in (
+                ("0.5\nnan\n-inf\n", "1 NaN and 1 infinite values among 3 observations"),
+                ("# nothing here\n", f"{data}: no data values found")):
+            data.write_text(text)
+            assert run("gof", "--in", data, "--gamma", 0.0) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1
+            assert problem in err[0]
 
     @pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--mu", "inf"),
                                             ("--sigma", "nan"), ("--sigma", "inf")])
@@ -270,6 +281,27 @@ class TestStudy:
         assert run(*argv) == 0
         for name, payload in first.items():
             assert (out / name).read_bytes() == payload
+
+    def test_obstruction_file_is_the_check(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("dist = cauchy\nn_grid = 30, 60\ngrowth = poly_log:c=1,a=2\n"
+                       "slow_growth = slow:c=1,offset=1\nreplications = 20\nseed = 4\n"
+                       "checks = obstruction\n")
+        out = tmp_path / "out"
+        argv = ("study", "--config", cfg, "--out", out)
+        assert run(*argv) == 0
+        assert [p.name for p in out.iterdir()] == ["obstruction.csv"]
+        payload = (out / "obstruction.csv").read_bytes()
+        config = blockmax.parse_study_config(cfg)
+        rows = blockmax.check_slow_growth_obstruction(
+            blockmax.from_spec(config.dist_spec), config.n_grid, config.slow_growth,
+            config.growth, config.replications, config.seed,
+        )
+        lines = payload.decode("utf-8").splitlines()
+        assert [line for line in lines if not line.startswith("#")] == csv_lines(
+            ObstructionRow, rows)
+        assert run(*argv) == 0
+        assert (out / "obstruction.csv").read_bytes() == payload
 
     def test_summary_text_is_the_report_summary(self, tmp_path):
         cfg = tmp_path / "study.cfg"

@@ -91,6 +91,13 @@ class TestPwmInit:
             pwm_init([2.0, 2.0, 2.0, 2.0])
         with pytest.raises(ValueError):
             pwm_init([1.0, 2.0])
+        # fit_mle's input checks: bad values are named, with no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="1 NaN and 0 infinite values among 4 observations"):
+            pwm_init([1.0, 2.0, math.nan, 4.0])
+        with pytest.raises(ValueError, match="0 NaN and 1 infinite values among 3 observations"):
+            pwm_init([1.0, 2.0, math.inf])
+        with pytest.raises(ValueError, match="one series, got 2-d input"):
+            pwm_init([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]])
 
     @pytest.mark.parametrize("x", [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0] * 99 + [1.0]],
                              ids=["low-pair", "high-pair", "99-zeros"])
@@ -234,12 +241,6 @@ class TestFitMle:
         assert not res.converged
         assert "gradient norm nan above tolerance" in res.diagnostic
 
-    def test_custom_init_used(self):
-        data = gev_sample(GevParams(0.5, 0.0, 1.0), 2_000, seed=67)
-        res = fit_mle(data, init=GevParams(0.4, 0.1, 1.1))
-        assert res.converged
-        assert abs(res.theta_hat.gamma - 0.5) < 0.1
-
     def test_repair_makes_infeasible_init_finite(self):
         data = gev_sample(GevParams(0.5, 0.0, 1.0), 500, seed=68)
         bad = GevParams(2.0, float(np.max(data)), 0.01)  # everything below mu is infeasible
@@ -308,8 +309,6 @@ class TestBatchedFit:
     def test_one_series_is_the_one_row_matrix(self):
         x = _mixed_block()[3]
         assert fit_mle(x[None]) == [fit_mle(x)]
-        assert fit_mle(x[None], init=GevParams(0.8, 1.0, 2.0)) == [
-            fit_mle(x, init=GevParams(0.8, 1.0, 2.0))]
 
     def test_nan_or_inf_row_named(self):
         X = _mixed_block()
