@@ -15,8 +15,8 @@ Newton ascent and the verdict each run on all rows still in play with
 one array pass per step, and a row leaves the ascent when it converges,
 stalls or reaches ``MAX_ITERS``.  One kernel, ``_loglik_rows``, computes
 every log-likelihood of the fit, and the gradient and Hessian at an
-accepted point in the same pass; the density itself comes from
-``gev._log_density``, as it does for every one-series function.  Rows
+accepted point in the same pass, from ``gev._log_density`` and
+``gev._derivative_means`` as the one-series functions do.  Rows
 never mix: each row's sums run in the order they would on their own, so
 every row's ``FitResult`` is bit for bit the one-series fit of that row.
 No kernel array holds more than ``BLOCK_VALUES`` values (or one row,
@@ -34,12 +34,14 @@ from .blocks import _mean_loglik, check_finite
 from .gev import (
     EULER_GAMMA,
     GevParams,
-    _derivative_columns,
+    _derivative_means,
+    _interior,
     _log_density,
     _shape,
     _split_means,
+    _tail,
     gev_loglik3,
-    gev_loglik_gradient,
+    gev_loglik_gradient,  # not called here: benchmarks/tracing.py wraps this binding
     gev_quantile,
     gev_upper_quantile,
     params_support,
@@ -85,9 +87,10 @@ def sample_loglik(theta: GevParams, series) -> float:
 
 
 def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
-    """Mean analytic gradient of the log-likelihood, shape (3,)."""
-    x = np.asarray(series, dtype=float)
-    return np.atleast_2d(gev_loglik_gradient(theta, x)).mean(axis=0)
+    """Mean analytic gradient of the log-likelihood, shape (3,); bit for bit
+    the gradient ``fit_mle``'s verdict judges (one row of the same kernel)."""
+    x = np.atleast_1d(np.asarray(series, dtype=float))
+    return _derivative_means(*_interior(theta, x), theta.sigma, False)[0]
 
 
 def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
@@ -96,11 +99,11 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
 
     Bit for bit ``sample_loglik``, -inf where an observation is infeasible.
     With ``floor`` (a scalar or one per k), the same pass also returns the
-    means of the derivative columns (the nine of ``_derivative_columns``,
-    or the three gradient ones without ``hessian``) for every k whose
-    value is not below its floor, as ``gev_loglik_grad_hess`` computes
-    them; other entries are NaN.  Rows go through in chunks, so no array
-    holds more than ``BLOCK_VALUES`` values.
+    derivative means of ``gev._derivative_means`` (nine, or the three
+    gradient ones without ``hessian``) for every k whose value is not below
+    its floor; ``gev_loglik_grad_hess`` and ``sample_loglik_gradient`` are
+    its one-row calls.  Other entries are NaN.  Rows go through in chunks,
+    so no array holds more than ``BLOCK_VALUES`` values.
     """
     n = X.shape[1]
     width = 1 if floor is None else 9 if hessian else 3
@@ -111,8 +114,7 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
         for lo in range(0, len(theta), chunk):
             part = slice(lo, lo + chunk)
             gamma, mu, sigma = theta[part].T.copy()[:, :, None]  # contiguous columns
-            # math.log and ** row by row, as the one-series code takes them: np.log
-            # and np.square can round differently in the last bit
+            # math.log row by row, as gev_loglik3 takes it (np.log may differ in the last bit)
             log_sigma = np.array([[math.log(s)] for s in sigma[:, 0].tolist()])
             z = ((X[part] if rows is None else X[rows[part]]) - mu) / sigma
             g, w, e, ll = _log_density(gamma, z)
@@ -126,12 +128,7 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
                 if not want.size:
                     continue
                 g, sigma, z, w, e = g[want], sigma[want], z[want], w[want], e[want]
-            sigma2 = np.array([[s**2] for s in sigma[:, 0].tolist()]) if hessian else None
-            columns = np.empty(z.shape + (width,))
-            for j, column in enumerate(_derivative_columns(g, sigma, sigma2, z, w, e, hessian)):
-                columns[:, :, j] = column
-            # np.mean's bits: a sum in observation order, then one division
-            means[part][want] = np.add.reduce(columns, axis=1) / n
+            means[part][want] = _derivative_means(g, z, w, e, sigma, hessian)
     return values, means
 
 
@@ -139,7 +136,7 @@ def _margins(theta, X):
     """``feasibility_margin`` of each row of ``X`` at the matching row of ``theta``."""
     ends = np.stack([X.min(axis=1), X.max(axis=1)], axis=1)
     with np.errstate(all="ignore"):
-        _, w, _, _ = _log_density(theta[:, :1], (ends - theta[:, 1:2]) / theta[:, 2:3])
+        _, w, _, _, _ = _tail(theta[:, :1], (ends - theta[:, 1:2]) / theta[:, 2:3])
     return np.where(w[:, 1] < w[:, 0], w[:, 1], w[:, 0])
 
 

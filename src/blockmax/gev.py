@@ -5,9 +5,9 @@ Shape convention: positive ``gamma`` means a heavy right tail, negative
 log-likelihood functions return ``-inf`` outside the support instead of
 raising, so optimizers can treat infeasible points uniformly.
 
-The standardized log-density is written once, in ``_log_density``: the
-log-likelihoods, the CDF, the derivatives, and the fit's row kernel and
-feasibility margins all read it, for one shape or for one shape per row.
+Each piece is formed once, for one shape or one shape per row: w and e
+in ``_tail`` (the CDF and margins read them), the log-density in
+``_log_density``, every mean gradient and Hessian in ``_derivative_means``.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import numpy as np
 # gamma-derivative uses a series to avoid catastrophic cancellation.
 GAMMA_TINY = 1e-8
 SERIES_CUTOFF = 1e-3
+_SIGMA_POWERS = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -82,38 +83,42 @@ def params_support(params: GevParams) -> SupportInterval:
     )
 
 
-def _log_density(gamma, z):
-    """The standardized GEV log-density at ``z`` and the pieces it is built from.
-
-    ``gamma`` is one shape, or a column of shapes, one per row of ``z``
-    (at least 1-d).  Returns ``(g, w, e, ll)``: the shape in use
-    g = ``_shape(gamma)``, the support factor w = 1 + g*z (the support is
-    w > 0), e = w^(-1/g), formed from log1p(g*z) so that it stays accurate
-    near g*z = 0, and ll = -(1 + 1/g) log(w) - e.  Rows in the Gumbel limit
-    read w = 1, e = exp(-z) and ll = -z - e.  ll is -inf where w <= 0 or e
-    overflows; only a row whose smallest w or largest e says so is masked
-    element by element, and a sum over such a row is -inf.  e is NaN where
-    w < 0.
+def _tail(gamma, z):
+    """``(g, w, e, log_w, rows)`` at ``z``, one shape or a column of shapes, one
+    per row of ``z``, under the caller's ``np.errstate``: g = ``_shape(gamma)``,
+    the support factor w = 1 + g*z (the support is w > 0) and e = w^(-1/g),
+    whose exp(-e) is the CDF, formed from log_w = log1p(g*z) so that it stays
+    accurate near g*z = 0; e is NaN where w < 0.  Gumbel-limit rows read w = 1
+    and e = exp(-z); log_w is None if all rows are, ``rows`` lists them if some are.
     """
     g = _shape(gamma)
     limit = np.asarray(g == 0.0)  # one flag, or one per row
     patch = limit.any()
+    if patch and limit.all():
+        return g, np.ones_like(z), np.exp(-z), None, None
+    gz = g * z
+    w = 1.0 + gz
+    log_w = np.log1p(gz)
+    e = np.exp(log_w / -(np.where(limit, 1.0, g) if patch else g))
+    rows = np.flatnonzero(limit) if patch else None
+    if patch:
+        w[rows], e[rows] = 1.0, np.exp(-z[rows])
+    return g, w, e, log_w, rows
+
+
+def _log_density(gamma, z):
+    """The standardized GEV log-density at ``z`` and the pieces it is built from.
+
+    Takes what ``_tail`` takes and returns ``(g, w, e, ll)`` with
+    ll = -(1 + 1/g) log(w) - e, or -z - e in the Gumbel limit.  ll is -inf
+    where w <= 0 or e overflows; only a row whose smallest w or largest e
+    says so is masked element by element, and a sum over such a row is -inf.
+    """
     with np.errstate(all="ignore"):
-        if patch and limit.all():
-            w, e = np.ones_like(z), np.exp(-z)
-            ll = -z - e
-        else:
-            g_or_1 = np.where(limit, 1.0, g) if patch else g
-            gz = g * z
-            w = 1.0 + gz
-            log_w = np.log1p(gz)
-            e = np.exp(log_w / -g_or_1)
-            ll = -(1.0 + 1.0 / g_or_1) * log_w - e
-            if patch:
-                rows = np.flatnonzero(limit)
-                w[rows] = 1.0
-                e[rows] = np.exp(-z[rows])
-                ll[rows] = -z[rows] - e[rows]
+        g, w, e, log_w, rows = _tail(gamma, z)
+        ll = -z - e if log_w is None else -(1.0 + 1.0 / g) * log_w - e
+        if rows is not None:  # Gumbel-limit rows among others: NaN so far
+            ll[rows] = -z[rows] - e[rows]
         if z.size:  # the row reductions need values; an empty z has nothing to mask
             bad = ~((w.min(axis=-1) > 0.0) & (e.max(axis=-1) < np.inf))  # NaN counts as bad
             if bad.any():
@@ -143,7 +148,8 @@ def gev_cdf(gamma: float, x) -> float | np.ndarray:
     Evaluates exp(-(1+gamma*x)^(-1/gamma)), extended by 0 below the
     support (gamma>0) and 1 above it (gamma<0).
     """
-    g, w, e, _ = _log_density(gamma, x)
+    with np.errstate(all="ignore"):
+        g, w, e, _, _ = _tail(gamma, x)
     return np.where(w > 0.0, np.exp(-e), 0.0 if g > 0 else 1.0)
 
 
@@ -198,79 +204,90 @@ def gev_loglik3(params: GevParams, x) -> float | np.ndarray:
     return gev_loglik(params.gamma, z) - math.log(params.sigma)
 
 
-def _phi(u) -> np.ndarray:
-    """(log1p(u) - u/(1+u)) / u^2, series-stabilized for small |u|."""
-    u = np.asarray(u, dtype=float)
+def _direct_or_series(u, numerator, denominator, series) -> np.ndarray:
+    """numerator / denominator, patched with ``series(u)`` where |u| < SERIES_CUTOFF."""
     small = np.abs(u) < SERIES_CUTOFF
-    us = np.where(small, u, 0.0)
-    series = 1 / 2 - us * (2 / 3 - us * (3 / 4 - us * (4 / 5 - us * 5 / 6)))
-    ub = np.where(small, 1.0, u)  # placeholder avoids 0/0 warnings
-    direct = (np.log1p(ub) - ub / (1.0 + ub)) / (ub * ub)
-    return np.where(small, series, direct)
+    out = np.asarray(numerator)
+    np.divide(out, denominator, out=out, where=~small)
+    if np.count_nonzero(small):
+        out[small] = series(u[small])
+    return out
+
+
+def _phi(u) -> np.ndarray:
+    """(log1p(u) - u/(1+u)) / u^2, a series where |u| < SERIES_CUTOFF."""
+    u = np.asarray(u, dtype=float)
+    return _direct_or_series(u, np.log1p(u) - u / (1.0 + u), u * u, lambda us: (
+        1 / 2 - us * (2 / 3 - us * (3 / 4 - us * (4 / 5 - us * 5 / 6)))))
 
 
 def _dphi(u, phi) -> np.ndarray:
     """Derivative of ``_phi``: (1/(1+u)^2 - 2*phi) / u with phi = _phi(u),
-    series for small |u|."""
+    a series where |u| < SERIES_CUTOFF."""
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < SERIES_CUTOFF
-    us = np.where(small, u, 0.0)
-    series = -2 / 3 + us * (3 / 2 - us * (12 / 5 - us * 10 / 3))
-    ub = np.where(small, 1.0, u)
-    direct = (1.0 / (1.0 + ub) ** 2 - 2.0 * phi) / ub
-    return np.where(small, series, direct)
+    w = 1.0 + u
+    return _direct_or_series(u, 1.0 / (w * w) - 2.0 * phi, u, lambda us: (
+        -2 / 3 + us * (3 / 2 - us * (12 / 5 - us * 10 / 3))))
 
 
-def _derivatives(params: GevParams, x: np.ndarray, hessian: bool) -> list:
-    """Per-observation derivative columns of ``gev_loglik3`` at 1-d ``x``
-    (see ``_derivative_columns``)."""
-    sigma = params.sigma
-    z = (x - params.mu) / sigma
-    gamma, w, e, _ = _log_density(params.gamma, z)
+def _partials(gamma, z, w, e, hessian: bool) -> np.ndarray:
+    """Partials g_gamma, g_z, z g_z, then, if ``hessian``, g_gg, g_gz, z g_gz,
+    g_zz, z g_zz, z^2 g_zz of the standardized log-density at z (rows, n),
+    as one array (rows, 3 or 9, n).  Prescott & Walden (Biometrika 1980):
+    g_gamma = (1 - e) z^2 phi - z/w, g_z = (e - 1 - g)/w, g_zz = (1 + g)(g - e)/w^2,
+    g_gz = (e z^2 phi - 1 - z g_z)/w, g_gg = (z/w)^2 - e (z^2 phi)^2 + (1 - e) z^3 phi',
+    with phi = _phi(g z) and phi' = _dphi(g z, phi)."""
+    parts = np.empty((len(z), 9 if hessian else 3, z.shape[1]))
+    p = parts.transpose(1, 0, 2)
+    u = gamma * z
+    phi = _phi(u)
+    zz = z * z
+    s = zz * phi
+    r = z / w
+    em1 = e - 1.0
+    np.subtract(-(em1 * s), r, out=p[0])
+    np.divide(em1 - gamma, w, out=p[1])
+    np.multiply(z, p[1], out=p[2])
+    if hessian:
+        es = e * s
+        np.divide(es - 1.0 - p[2], w, out=p[4])
+        np.multiply(z, p[4], out=p[5])
+        np.divide((gamma - e) * (1.0 + gamma), w * w, out=p[6])
+        np.multiply(z, p[6], out=p[7])
+        np.multiply(z, p[7], out=p[8])
+        np.subtract(r * r - es * s, zz * z * _dphi(u, phi) * em1, out=p[3])
+    return parts
+
+
+def _derivative_means(gamma, z, w, e, sigma, hessian: bool) -> np.ndarray:
+    """Mean gradient of ``gev_loglik3`` over each row of ``z``, then, if ``hessian``,
+    the mean Hessian entries gg, gm, gs, mm, ms, ss: (rows, 3 or 9).  The means
+    S_j of ``_partials`` are row sums (numpy's pairwise sum) over n, and sigma
+    (one, or a column) enters only then: gradient (S_0, -S_1/sigma, -(1 + S_2)/sigma),
+    Hessian S_3, -S_4/sigma, -S_5/sigma, S_6/sigma^2, (S_1 + S_7)/sigma^2,
+    (1 + 2 S_2 + S_8)/sigma^2: each mean over (-sigma)^_SIGMA_POWERS."""
+    means = np.add.reduce(_partials(gamma, z, w, e, hessian), axis=-1) / z.shape[1]
+    if hessian:  # S_1 + S_7 and (S_2 + S_8) + (1 + S_2)
+        means[:, 7:] += means[:, 1:3]
+        means[:, 8] += 1.0 + means[:, 2]
+    means[:, 2] += 1.0
+    return means / (-sigma) ** _SIGMA_POWERS[:means.shape[1]]
+
+
+def _interior(params: GevParams, x: np.ndarray):
+    """``(g, z, w, e)`` of ``_partials`` for 1-d ``x`` as one row; raises if a
+    point sits on or outside the support boundary."""
+    z = ((x - params.mu) / params.sigma)[None]
+    with np.errstate(all="ignore"):
+        g, w, e, _, _ = _tail(params.gamma, z)
     if np.any(w <= 0):
         raise ValueError("gradient undefined on or outside the support boundary")
-    return _derivative_columns(gamma, sigma, sigma**2, z, w, e, hessian)
-
-
-def _derivative_columns(gamma, sigma, sigma2, z, w, e, hessian: bool) -> list:
-    """The gradient columns in (gamma, mu, sigma), then, if ``hessian``, the
-    Hessian entries gg, gm, gs, mm, ms, ss, of ``gev_loglik3`` at every z.
-
-    Built from the standardized log-density g(gamma, z) with
-    z = (x-mu)/sigma, w = 1+gamma*z, e = w^(-1/gamma) and
-    t = log(w)/gamma, whose gamma-derivatives are t_g = -z^2 phi(gamma z)
-    and t_gg = -z^3 phi'(gamma z) (Prescott & Walden, Biometrika 1980).
-    gamma is ``_shape(gamma)``: 0 in the limit.  The parameters are
-    scalars, or columns that broadcast over rows of z; ``sigma2`` is
-    ``sigma**2``.
-    """
-    phi = _phi(gamma * z)
-    columns = [
-        (1.0 - e) * z * z * phi - z / w,
-        (1.0 + gamma - e) / (w * sigma),
-        (z * (1.0 + gamma - e) / w - 1.0) / sigma,
-    ]
-    if not hessian:
-        return columns
-    t_g = -z * z * phi
-    t_gg = -z * z * z * _dphi(gamma * z, phi)
-    g_z = (e - 1.0 - gamma) / w
-    g_zz = (1.0 + gamma) * (gamma - e) / (w * w)
-    g_gz = (-e * t_g - 1.0 - z * g_z) / w
-    g_gg = -e * t_g * t_g + (e - 1.0) * t_gg + (z / w) ** 2
-    return columns + [
-        g_gg,
-        -g_gz / sigma,
-        -z * g_gz / sigma,
-        g_zz / sigma2,
-        (z * g_zz + g_z) / sigma2,
-        (1.0 + z * z * g_zz + 2.0 * z * g_z) / sigma2,
-    ]
+    return g, z, w, e
 
 
 def _split_means(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mean gradient (..., 3) and mean Hessian (..., 3, 3) from the nine
-    column means of ``_derivative_columns`` along the last axis."""
+    means of ``_derivative_means`` along the last axis."""
     hess = means[..., [3, 4, 5, 4, 6, 7, 5, 7, 8]]
     return means[..., :3], hess.reshape(hess.shape[:-1] + (3, 3))
 
@@ -283,25 +300,26 @@ def gev_loglik_gradient(params: GevParams, x) -> np.ndarray:
     likelihood is not differentiable.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    out = np.stack(_derivatives(params, np.atleast_1d(x), hessian=False), axis=-1)
-    return out[0] if scalar else out
+    d_gamma, d_z, zd_z = _partials(*_interior(params, np.atleast_1d(x)), hessian=False)[0]
+    out = np.stack([d_gamma, -d_z / params.sigma, -(1.0 + zd_z) / params.sigma], axis=-1)
+    return out[0] if x.ndim == 0 else out
 
 
 def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
     """Mean gradient (3,) and mean Hessian (3, 3) of ``gev_loglik3`` over ``x``.
 
-    One pass shares z, w, e and phi between the two; the gradient equals
-    the mean of ``gev_loglik_gradient``.  Raises where that does.
+    The one-row call of the fit's derivative kernel; its gradient is
+    ``sample_loglik_gradient``.  Raises where ``gev_loglik_gradient`` does.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _split_means(np.stack(_derivatives(params, x, hessian=True), axis=-1).mean(axis=0))
+    return _split_means(_derivative_means(*_interior(params, x), params.sigma, True)[0])
 
 
 @_elementwise
 def gev_loglik_x_derivative(gamma: float, x) -> float | np.ndarray:
     """Derivative of the standardized log-likelihood in x (interior only)."""
-    g, w, e, _ = _log_density(gamma, x)
+    with np.errstate(all="ignore"):
+        g, w, e, _, _ = _tail(gamma, x)
     if np.any(w <= 0):
         raise ValueError("derivative undefined outside the support")
     return (e - (1.0 + g)) / w

@@ -12,6 +12,7 @@ from blockmax import (
     FitResult,
     GevParams,
     block_maxima,
+    catalog,
     feasibility_margin,
     fit_mle,
     gev_loglik3,
@@ -32,6 +33,7 @@ from blockmax import (
 )
 from blockmax import fit as fit_module
 from blockmax.fit import _repair
+from blockmax.gev import GAMMA_TINY, SERIES_CUTOFF
 
 
 class TestSampleLoglik:
@@ -431,6 +433,85 @@ class TestClosedFormHessian:
     def test_boundary_raises(self):
         with pytest.raises(ValueError):
             gev_loglik_grad_hess(GevParams(1.0, 0.0, 1.0), [0.5, -1.0])
+
+
+def _mp_grad_hess(theta, x):
+    """Mean gradient and Hessian of the log-likelihood by mpmath at 50 digits,
+    differentiating the density itself (mpmath.diff), not the kernel's formulas."""
+    mp = pytest.importorskip("mpmath")
+    xs = [mp.mpf(v) for v in x.tolist()]
+
+    def mean_loglik(g, m, s):
+        total = []
+        for xi in xs:
+            z = (xi - m) / s
+            if g == 0:
+                total.append(-mp.log(s) - z - mp.exp(-z))
+            else:
+                log_w = mp.log1p(g * z)
+                total.append(-mp.log(s) - (1 + 1 / g) * log_w - mp.exp(-log_w / g))
+        return mp.fsum(total) / len(xs)
+
+    with mp.workdps(50):
+        point = [mp.mpf(v) for v in theta]
+        grad = [float(mp.diff(mean_loglik, point, tuple(int(i == j) for j in range(3))))
+                for i in range(3)]
+        hess = np.empty((3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                order = tuple(int(i == k) + int(j == k) for k in range(3))
+                hess[i, j] = hess[j, i] = float(mp.diff(mean_loglik, point, order))
+    return np.array(grad), hess
+
+
+def _mp_rows():
+    """(name, theta, x): the shapes of SHAPES, then rows whose |gamma z| lies
+    all below, all above and on both sides of SERIES_CUTOFF."""
+    rows = [(f"gamma={g}", (g, 0.4, 1.5), gev_sample(GevParams(g, 0.5, 1.3), 40, seed=72))
+            for g in SHAPES]
+    rng = np.random.default_rng(74)
+    return rows + [
+        ("below", (2e-4, 0.0, 1.0), rng.uniform(-4.0, 4.0, 40)),
+        ("above", (0.3, 0.0, 1.0), np.concatenate([rng.uniform(-3.0, -0.01, 20),
+                                                   rng.uniform(0.01, 8.0, 20)])),
+        ("both", (2e-4, 0.0, 1.0), rng.uniform(-4.0, 20.0, 40)),
+    ]
+
+
+class TestKernelAgainstMpmath:
+    @pytest.mark.parametrize("name,theta,x", _mp_rows(), ids=[r[0] for r in _mp_rows()])
+    def test_mean_gradient_and_hessian(self, name, theta, x):
+        # one kernel chunk holds every row, the row under test among them
+        rows = _mp_rows()
+        thetas = np.array([r[1] for r in rows])
+        k = [r[0] for r in rows].index(name)
+        _, means = fit_module._loglik_rows(thetas, np.stack([r[2] for r in rows]),
+                                           floor=-np.inf)
+        grad, hess = means[k, :3], means[k, [3, 4, 5, 4, 6, 7, 5, 7, 8]].reshape(3, 3)
+        want_grad, want_hess = _mp_grad_hess(theta, x)
+        gamma, mu, sigma = theta
+        u = gamma * (x - mu) / sigma
+        if 0.0 < abs(gamma) < GAMMA_TINY:
+            band = 1e-8    # the kernel takes the Gumbel limit
+        elif gamma and np.any(np.abs(u) < SERIES_CUTOFF):
+            band = 2e-10   # the phi' series is cut after its u^3 term
+        else:
+            band = 4e-15
+        assert np.max(np.abs(grad - want_grad)) <= band * np.max(np.abs(want_grad))
+        assert np.max(np.abs(hess - want_hess)) <= band * np.max(np.abs(want_hess))
+
+
+def test_verdict_gradient_is_the_sample_gradient():
+    # the verdict's gradient norm is the norm of sample_loglik_gradient, bit for bit
+    checked = 0
+    for i, member in enumerate(catalog()):
+        for n in (100, 1600):
+            x = sample_iid(member, n, seed=90 + i, m=math.ceil(math.log(n) ** 2))
+            res = fit_mle(x)
+            if res.converged:
+                assert res.grad_norm == math.hypot(*sample_loglik_gradient(res.theta_hat, x))
+                checked += 1
+    assert checked >= 10
 
 
 def _kl_by_quad(theta0, theta):
