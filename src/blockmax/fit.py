@@ -20,7 +20,9 @@ accepted point in the same pass, from ``gev._log_density`` and
 never mix: each row's sums run in the order they would on their own, so
 every row's ``FitResult`` is bit for bit the one-series fit of that row.
 No kernel array holds more than ``BLOCK_VALUES`` values (or one row,
-where a row is longer).
+where a row is longer).  The same constant sizes the blocks of a study:
+``lab.run_consistency_study`` hands each worker ``BLOCK_VALUES // n``
+replications, which it draws and fits in one call here.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ INIT_GAMMA_LO = -0.95
 INIT_GAMMA_HI = 5.0
 GRAD_TOL = 1e-8   # bound on the data-unit gradient norm of a converged fit
 MAX_ITERS = 500   # Newton steps before the ascent gives up
-BLOCK_VALUES = 8192  # most values in one kernel array, and in one study block of series
+BLOCK_VALUES = 65536  # most values in one kernel array, and in one study block of series
 KL_STEP = 1.0 / 32.0  # step of kl_divergence's tanh-sinh rule in t
 KL_T_MAX = 6.0        # the rule sums over t in [-KL_T_MAX, KL_T_MAX]: 385 nodes
 
@@ -102,8 +104,10 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
     derivative means of ``gev._derivative_means`` (nine, or the three
     gradient ones without ``hessian``) for every k whose value is not below
     its floor; ``gev_loglik_grad_hess`` and ``sample_loglik_gradient`` are
-    its one-row calls.  Other entries are NaN.  Rows go through in chunks,
-    so no array holds more than ``BLOCK_VALUES`` values.
+    its one-row calls.  Other entries are NaN.  Rows go through in chunks
+    of ``BLOCK_VALUES // (n * width)`` (at least one), where width is the
+    number of values per observation, so no array holds more than
+    ``BLOCK_VALUES`` values unless one row does.
     """
     n = X.shape[1]
     width = 1 if floor is None else 9 if hessian else 3

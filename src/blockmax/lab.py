@@ -14,7 +14,6 @@ import collections
 import contextlib
 import dataclasses
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -218,6 +217,23 @@ class StudyReport:
         return lines
 
 
+def _replications(dist, n, constants, seed, stream, cell, reps, draw=None):
+    """Each replication in ``reps`` of one cell: its block maxima of length
+    m = ``constants.m``, raw and normalized, as ``draw(dist, n, rng, m)``
+    returns them on the stream ``SeedSequence(seed, spawn_key=(stream, cell, rep))``.
+
+    ``draw`` defaults to this module's ``sample_iid`` binding, looked up at
+    each call: n maxima drawn directly from F^m (n draws, not n*m).  The
+    obstruction check passes ``sample_min``, the smallest of those n maxima,
+    bit for bit.
+    """
+    m = constants.m
+    for rep in reps:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
+        series = BlockMaximaSeries((draw or sample_iid)(dist, n, rng, m), m)
+        yield series, normalize(series, constants)
+
+
 def _cells(
     dist: ReferenceDistribution,
     n_grid: Sequence[int],
@@ -229,26 +245,16 @@ def _cells(
 ) -> Iterator[tuple[int, NormalizingConstants, Iterator]]:
     """The Monte Carlo cell loop of every check: ``(n, constants, reps)`` per grid point.
 
-    ``constants`` are exact for m = rule(n); ``reps`` yields each replication's
-    block maxima of length m, raw and normalized, as ``draw(dist, n, rng, m)``
-    returns them on the stream ``SeedSequence(seed, spawn_key=(stream, cell, rep))``.
-    ``draw`` defaults to this module's ``sample_iid`` binding, looked up at each
-    call: n maxima drawn directly from F^m (n draws, not n*m).  The obstruction
-    check passes ``sample_min``, the smallest of those n maxima, bit for bit.
+    ``constants`` are exact for m = rule(n); ``reps`` yields the cell's
+    replications 0 .. ``replications`` - 1 from ``_replications``, which
+    draws nothing before it is read.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-
-    def reps(n, constants, cell):
-        m = constants.m
-        for rep in range(replications):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
-            series = BlockMaximaSeries((draw or sample_iid)(dist, n, rng, m), m)
-            yield series, normalize(series, constants)
-
     for cell, n in enumerate(n_grid):
         constants = norm_constants(dist, rule.block_length(int(n)))
-        yield int(n), constants, reps(int(n), constants, cell)
+        yield int(n), constants, _replications(dist, int(n), constants, seed, stream, cell,
+                                               range(replications), draw)
 
 
 def _error_boxes(rows: Sequence[StudyRow], gamma0: float) -> list[tuple[float, ...]]:
@@ -267,34 +273,40 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fit_block(values):
-    """One block's fits.  A module-level function, so a pool can send it by
-    name; it calls this module's ``fit_mle`` binding where it runs."""
-    return fit_mle(values)
+_work = None  # what a pool worker runs each task through; set by _start_worker
 
 
-def _ignore_sigint():
-    """Pool initializer: Ctrl-C interrupts the study, not each worker."""
+def _start_worker(work):
+    """Pool initializer.  ``work`` reaches a forked worker without being
+    pickled, so it may hold what pickle refuses, a catalog member's lambdas
+    among them.  Ctrl-C interrupts the study, not each worker."""
     import signal  # here, so that importing blockmax does not load it
 
+    global _work
+    _work = work
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _fitted_blocks(blocks, n_blocks):
-    """``(item, fits)`` for each ``(item, values)`` of ``blocks``, in order.
+def _run_task(task):
+    """One task in a pool worker.  A module-level function, so the pool can
+    send it by name; the task is a tuple of ints."""
+    return _work(*task)
 
-    Each block's values are fitted by ``_fit_block`` in one of
-    ``min(_worker_count(), n_blocks)`` forked workers, with at most two
-    blocks per worker in flight; the caller keeps drawing the next blocks
-    meanwhile.  Workers are forked, not spawned, so they import nothing
-    and run this module's bindings as the caller has them, a wrapped
-    ``fit_mle`` included.  A worker that dies raises ``BrokenProcessPool``
-    here instead of leaving the study waiting.  With one worker, no
-    ``fork`` start method or a daemonic caller (which may not have
-    children), each block is fitted in this process as it is drawn.  The
-    fits are the same either way.
+
+def _pooled(work, tasks):
+    """``work(*task)`` for each of ``tasks``, in order.
+
+    The tasks run in ``min(_worker_count(), len(tasks))`` forked workers,
+    with at most two per worker in flight.  Workers are forked, not
+    spawned, so they import nothing, receive ``work`` through the pool's
+    initializer and run this module's bindings as the caller has them, a
+    wrapped ``fit_mle`` included.  A task that raises raises here, and a
+    worker that dies raises ``BrokenProcessPool`` here instead of leaving
+    the caller waiting.  With one worker, no ``fork`` start method or a
+    daemonic caller (which may not have children), each task runs through
+    the same ``work`` in this process.  The results are the same either way.
     """
-    workers = min(_worker_count(), n_blocks)
+    workers = min(_worker_count(), len(tasks))
     pool = None
     if workers > 1:
         import multiprocessing
@@ -303,18 +315,46 @@ def _fitted_blocks(blocks, n_blocks):
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_ignore_sigint)
-    window = 1 if pool is None else 2 * workers
-    with contextlib.nullcontext() if pool is None else pool:  # leaving a pool joins its workers
+                                       initializer=_start_worker, initargs=(work,))
+    if pool is None:
+        for task in tasks:
+            yield work(*task)
+        return
+    with pool:  # leaving a pool joins its workers
         pending = collections.deque()
-        for item, values in blocks:
-            pending.append((item, functools.partial(_fit_block, values) if pool is None
-                            else pool.submit(_fit_block, values).result))
-            if len(pending) == window:
-                item, fits = pending.popleft()
-                yield item, fits()
-        for item, fits in pending:
-            yield item, fits()
+        for task in tasks:
+            pending.append(pool.submit(_run_task, task))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        for future in pending:
+            yield future.result()
+
+
+def _study_block(dist, seed, cells, cell, first, count):
+    """The rows of replications ``first`` .. ``first + count - 1`` of study
+    cell ``cell``, whose ``(n, constants)`` is ``cells[cell]``.
+
+    The replications are drawn on stream 0 and normalized
+    (``_replications``), fitted in one ``fit_mle`` call with one series per
+    row, which gives each the fit it would get on its own, and scored
+    against the truth.
+    """
+    n, constants = cells[cell]
+    reps = range(first, first + count)
+    block = list(_replications(dist, n, constants, seed, 0, cell, reps))
+    fits = fit_mle(np.array([series.values for series, _ in block]))
+    truth = GevParams(dist.gamma0, 0.0, 1.0)
+    return [StudyRow(
+        n=n,
+        m=constants.m,
+        rep=rep,
+        gamma_hat=result.theta_hat.gamma,
+        mu_err=(result.theta_hat.mu - constants.b_m) / constants.a_m,
+        sigma_ratio=result.theta_hat.sigma / constants.a_m,
+        converged=result.converged,
+        ks=ks_distance(normalized, dist.gamma0),
+        mean_ll_truth=empirical_mean_loglik(normalized, truth),
+    ) for rep, (_, normalized), result in zip(reps, block, fits)]
 
 
 def run_consistency_study(
@@ -329,46 +369,36 @@ def run_consistency_study(
     For each n: m = growth(n); each replication draws n block maxima
     from F^m, and the MLE is fitted on them; the row reports the three
     error coordinates of the consistency statement using the exact
-    constants.  A cell's replications are drawn and fitted in blocks of
-    ``BLOCK_VALUES // n`` of them (at least one): one ``fit_mle`` call
-    per block, one series per row, which gives every replication the
-    fit it would get on its own.  This process draws and scores every
-    replication; the blocks are fitted on every available CPU
-    (``_fitted_blocks``), and the rows do not depend on how many there
-    are.  Non-converged fits are recorded with their flag, never dropped.
+    constants.  A cell's replications go in blocks of ``BLOCK_VALUES // n``
+    of them (at least one), and ``_study_block`` draws, fits and scores
+    each block.  The blocks run on every available CPU (``_pooled``): this
+    process hands out (cell, first replication, count) and only orders the
+    returned rows and summarizes each cell, and the rows do not depend on
+    how many workers there are.  Non-converged fits are recorded with
+    their flag, never dropped.
     """
     if not dist.gamma0 > -1.0:
         raise ValueError("study requires an index above -1")
+    cells = [(n, constants) for n, constants, _ in
+             _cells(dist, n_grid, growth, replications, seed, 0)]
+    tasks = []
+    for cell, (n, _) in enumerate(cells):
+        size = max(1, BLOCK_VALUES // n)
+        tasks += [(cell, first, min(size, replications - first))
+                  for first in range(0, replications, size)]
     rows: list[StudyRow] = []
     summaries: list[StudySummary] = []
-    truth = GevParams(dist.gamma0, 0.0, 1.0)
-
-    def blocks():
-        for n, constants, reps in _cells(dist, n_grid, growth, replications, seed, 0):
-            while block := list(itertools.islice(reps, max(1, BLOCK_VALUES // n))):
-                yield (n, constants, block), np.array([series.values for series, _ in block])
-
-    n_blocks = sum(-(-replications // max(1, BLOCK_VALUES // int(n))) for n in n_grid)
     cell_rows: list[StudyRow] = []
-    with contextlib.closing(_fitted_blocks(blocks(), n_blocks)) as fitted:
-        for (n, constants, block), fits in fitted:
-            for (_, normalized), result in zip(block, fits):
-                cell_rows.append(StudyRow(
-                    n=n,
-                    m=constants.m,
-                    rep=len(cell_rows),
-                    gamma_hat=result.theta_hat.gamma,
-                    mu_err=(result.theta_hat.mu - constants.b_m) / constants.a_m,
-                    sigma_ratio=result.theta_hat.sigma / constants.a_m,
-                    converged=result.converged,
-                    ks=ks_distance(normalized, dist.gamma0),
-                    mean_ll_truth=empirical_mean_loglik(normalized, truth),
-                ))
+    work = functools.partial(_study_block, dist, seed, cells)
+    with contextlib.closing(_pooled(work, tasks)) as blocks:
+        for block_rows in blocks:
+            cell_rows += block_rows
             if len(cell_rows) < replications:
                 continue
-            rows.extend(cell_rows)
+            rows += cell_rows
             summaries.append(StudySummary(
-                n, constants.m, *(box[1:4] for box in _error_boxes(cell_rows, dist.gamma0)),
+                cell_rows[0].n, cell_rows[0].m,
+                *(box[1:4] for box in _error_boxes(cell_rows, dist.gamma0)),
                 frac_converged=sum(r.converged for r in cell_rows) / replications,
                 median_ks=float(np.median([r.ks for r in cell_rows])),
             ))

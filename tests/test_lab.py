@@ -252,6 +252,23 @@ class TestPooledFits:
             raised.append((type(info.value), str(info.value)))
         assert raised == [(RuntimeError, "no fit for a block of shape (1, 100)")] * 3
 
+    def test_a_raising_draw_surfaces_as_in_the_inline_run(self, monkeypatch):
+        # workers draw their own blocks; the last block of cell n = 100 is replication 39
+        def failing(dist, n, rng, m):
+            key = rng.bit_generator.seed_seq.spawn_key
+            if key == (0, 0, 39):
+                raise ValueError(f"no draw on stream {key}")
+            return sample_iid(dist, n, rng, m)
+
+        monkeypatch.setattr(lab, "sample_iid", failing)
+        raised = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(lab, "_worker_count", lambda: workers)
+            with pytest.raises(ValueError) as info:
+                _small_study()
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(ValueError, "no draw on stream (0, 0, 39)")] * 3
+
     def test_a_dying_worker_raises_instead_of_hanging(self, monkeypatch):
         parent = os.getpid()
 
@@ -415,10 +432,24 @@ class TestCellLoop:
     ], ids=["consistency", "crucial_lemma"])
     def test_every_replication_passes_the_traced_bindings(self, monkeypatch, check, expected):
         # the benchmark's blocks.*.busy_s metrics wrap these names in blockmax.lab;
-        # a replication that reached them another way would go untimed
+        # a replication that reached them another way would go untimed.  One worker:
+        # the study then runs its blocks in this process, through the pooled code
+        monkeypatch.setattr(lab, "_worker_count", lambda: 1)
         counts = self._count_calls(monkeypatch, expected)
         check(pareto(1.0), [50, 120], poly_log_growth(), 3, 4)  # 2 cells x 3 replications
         assert counts == expected
+
+    def test_pooled_study_draws_and_scores_in_the_workers(self, monkeypatch):
+        # with two workers each of the two cells is one block, drawn, fitted and
+        # scored in a worker: this process calls none of the traced bindings
+        monkeypatch.setattr(lab, "_worker_count", lambda: 1)
+        inline = run_consistency_study(pareto(1.0), [50, 120], poly_log_growth(), 3, 4)
+        monkeypatch.setattr(lab, "_worker_count", lambda: 2)
+        counts = self._count_calls(monkeypatch, ("sample_iid", "normalize", "ks_distance",
+                                                 "empirical_mean_loglik", "fit_mle"))
+        pooled = run_consistency_study(pareto(1.0), [50, 120], poly_log_growth(), 3, 4)
+        assert counts == dict.fromkeys(counts, 0)
+        assert pooled.rows == inline.rows
 
     def test_obstruction_transforms_only_the_smallest_uniform(self, monkeypatch):
         # 2 rules x 2 cells x 3 replications, each one sample_min call and no full draw
