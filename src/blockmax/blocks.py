@@ -90,7 +90,7 @@ def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
     ll = np.atleast_1d(gev_loglik3(params, x))
     with np.errstate(over="ignore"):
         mean = float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
-    if not mean > -np.inf:  # NaN data score -inf, or NaN in the Gumbel limit: look only then
+    if not mean > -np.inf:  # NaN data score -inf at every shape: look only then
         n_nan = int(np.count_nonzero(np.isnan(x)))
         if n_nan:
             raise ValueError(f"{n_nan} NaN values among {x.size} observations")

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gev import _shape, gev_cdf, gev_quantile, gev_upper_quantile, support_interval
+from .gev import gev_cdf, gev_quantile, gev_upper_quantile, support_interval
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def norm_constants(dist: ReferenceDistribution, m: int) -> NormalizingConstants:
     b_m = float(dist.tail_quantile(m))
     if not math.isfinite(b_m):
         raise ValueError(f"U({m}) is not finite for member '{dist.name}'")
-    g = _shape(dist.gamma0)
+    g = dist.gamma0
     if not g:
         if dist.gumbel_scale is None:
             raise ValueError(f"member '{dist.name}' has index 0 but no closed-form gumbel_scale")
@@ -241,7 +241,7 @@ def gev_reference(gamma: float) -> ReferenceDistribution:
         cdf=lambda x: gev_cdf(gamma, x),
         right_endpoint=span.upper,
         left_endpoint=span.lower,
-        gumbel_scale=None if _shape(gamma) else (lambda m: 1.0),
+        gumbel_scale=None if gamma else (lambda m: 1.0),
         spec=f"gev:gamma={gamma:g}",
     )
 

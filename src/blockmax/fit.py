@@ -39,7 +39,6 @@ from .gev import (
     _derivative_means,
     _interior,
     _log_density,
-    _shape,
     _split_means,
     _tail,
     gev_loglik3,
@@ -121,7 +120,7 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
             # math.log row by row, as gev_loglik3 takes it (np.log may differ in the last bit)
             log_sigma = np.array([[math.log(s)] for s in sigma[:, 0].tolist()])
             z = ((X[part] if rows is None else X[rows[part]]) - mu) / sigma
-            g, w, e, ll = _log_density(gamma, z)
+            w, log_w, e, ll = _log_density(gamma, z)
             ll -= log_sigma  # gev_loglik3 on every row; a -inf carries through the sum
             values[part] = vals = ll.sum(axis=1) / n
             if means is None:
@@ -131,8 +130,8 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
                 want = np.flatnonzero(want)
                 if not want.size:
                     continue
-                g, sigma, z, w, e = g[want], sigma[want], z[want], w[want], e[want]
-            means[part][want] = _derivative_means(g, z, w, e, sigma, hessian)
+                gamma, sigma, z, w, log_w, e = (v[want] for v in (gamma, sigma, z, w, log_w, e))
+            means[part][want] = _derivative_means(gamma, z, w, log_w, e, sigma, hessian)
     return values, means
 
 
@@ -140,7 +139,7 @@ def _margins(theta, X):
     """``feasibility_margin`` of each row of ``X`` at the matching row of ``theta``."""
     ends = np.stack([X.min(axis=1), X.max(axis=1)], axis=1)
     with np.errstate(all="ignore"):
-        _, w, _, _, _ = _tail(theta[:, :1], (ends - theta[:, 1:2]) / theta[:, 2:3])
+        w = _tail(theta[:, :1], (ends - theta[:, 1:2]) / theta[:, 2:3])[0]
     return np.where(w[:, 1] < w[:, 0], w[:, 1], w[:, 0])
 
 
@@ -176,7 +175,7 @@ def _repair(theta, X, floor=None):
         pending = pending[~done]
         if not pending.size:
             return theta, values, means
-        theta[pending, 0] = _shape(theta[pending, 0] * 0.5)
+        theta[pending, 0] *= 0.5
         theta[pending, 2] *= 2.0
     where = f"row {pending[0]}: " if len(X) > 1 else ""
     raise ValueError(f"{where}could not repair the starting point into the feasible region")
@@ -199,7 +198,7 @@ def _moment_starts(xs):
     ks = np.clip(7.8590 * c + 2.9554 * c * c, -INIT_GAMMA_HI, -INIT_GAMMA_LO - 1e-9)
     out = np.empty((len(xs), 3))
     for i, k in enumerate(ks.tolist()):
-        if not _shape(k):  # the Gumbel limit
+        if not k:  # the Gumbel case
             sigma = l2[i] / math.log(2.0)
             mu = l1[i] - EULER_GAMMA * sigma
             gamma = 0.0

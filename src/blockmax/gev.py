@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-# Below GAMMA_TINY all formulas switch to their Gumbel (gamma=0) limits,
-# as ``_shape`` alone decides; below SERIES_CUTOFF in |gamma*z| the
-# gamma-derivative uses a series to avoid catastrophic cancellation.
-GAMMA_TINY = 1e-8
+# One formula serves every shape: the Gumbel (gamma=0) form is its value at
+# gamma == 0, and at a subnormal gamma, where gamma*z underflows.  Below
+# SERIES_CUTOFF in |gamma*z| the gamma-derivative uses a series to avoid
+# catastrophic cancellation.
 SERIES_CUTOFF = 1e-3
 _SIGMA_POWERS = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
@@ -56,22 +57,13 @@ class SupportInterval:
     upper: float
 
 
-def _shape(gamma):
-    """The shape every formula uses: 0.0 in the Gumbel limit, else ``gamma``;
-    element by element for an array of shapes."""
-    if isinstance(gamma, np.ndarray):
-        return np.where(np.abs(gamma) < GAMMA_TINY, 0.0, gamma)
-    return 0.0 if abs(gamma) < GAMMA_TINY else gamma
-
-
 def support_interval(gamma: float) -> SupportInterval:
     """Support of the standardized GEV with shape ``gamma``."""
-    g = _shape(gamma)
-    if not g:
+    if gamma == 0:
         return SupportInterval(-math.inf, math.inf)
-    if g > 0:
-        return SupportInterval(-1.0 / g, math.inf)
-    return SupportInterval(-math.inf, -1.0 / g)
+    if gamma > 0:
+        return SupportInterval(-1.0 / gamma, math.inf)
+    return SupportInterval(-math.inf, -1.0 / gamma)
 
 
 def params_support(params: GevParams) -> SupportInterval:
@@ -84,46 +76,38 @@ def params_support(params: GevParams) -> SupportInterval:
 
 
 def _tail(gamma, z):
-    """``(g, w, e, log_w, rows)`` at ``z``, one shape or a column of shapes, one
-    per row of ``z``, under the caller's ``np.errstate``: g = ``_shape(gamma)``,
-    the support factor w = 1 + g*z (the support is w > 0) and e = w^(-1/g),
-    whose exp(-e) is the CDF, formed from log_w = log1p(g*z) so that it stays
-    accurate near g*z = 0; e is NaN where w < 0.  Gumbel-limit rows read w = 1
-    and e = exp(-z); log_w is None if all rows are, ``rows`` lists them if some are.
+    """``(w, log_w, log_e, e)`` at ``z``, one shape or a column of shapes, one
+    per row of ``z``, under the caller's ``np.errstate``: the support factor
+    w = 1 + u with u = gamma*z (the support is w > 0), log_w = log1p(u), and
+    e = w^(-1/gamma), whose exp(-e) is the CDF, formed as exp(log_e) with
+    log_e = -z*L(u), L(u) = log1p(u)/u.  log_e is log_w/-gamma where gamma is
+    a normal float and -z where it is 0 or subnormal, where the two agree to
+    rounding (for |z| < 1e292) and the quotient would read an underflowed u.
+    e is NaN where w < 0.
     """
-    g = _shape(gamma)
-    limit = np.asarray(g == 0.0)  # one flag, or one per row
-    patch = limit.any()
-    if patch and limit.all():
-        return g, np.ones_like(z), np.exp(-z), None, None
-    gz = g * z
-    w = 1.0 + gz
-    log_w = np.log1p(gz)
-    e = np.exp(log_w / -(np.where(limit, 1.0, g) if patch else g))
-    rows = np.flatnonzero(limit) if patch else None
-    if patch:
-        w[rows], e[rows] = 1.0, np.exp(-z[rows])
-    return g, w, e, log_w, rows
+    u = gamma * z
+    log_w = np.log1p(u)
+    log_e = np.divide(log_w, -gamma, out=-z, where=np.abs(gamma) >= sys.float_info.min)
+    return 1.0 + u, log_w, log_e, np.exp(log_e)
 
 
 def _log_density(gamma, z):
     """The standardized GEV log-density at ``z`` and the pieces it is built from.
 
-    Takes what ``_tail`` takes and returns ``(g, w, e, ll)`` with
-    ll = -(1 + 1/g) log(w) - e, or -z - e in the Gumbel limit.  ll is -inf
-    where w <= 0 or e overflows; only a row whose smallest w or largest e
-    says so is masked element by element, and a sum over such a row is -inf.
+    Takes what ``_tail`` takes and returns ``(w, log_w, e, ll)`` with
+    ll = -z*L(gamma*z) - log(w) - e, the Gumbel -z - e at gamma == 0.  ll is
+    -inf where w <= 0 or e overflows (and where z is NaN); only a row whose
+    smallest w or largest e says so is masked element by element, and a sum
+    over such a row is -inf.
     """
     with np.errstate(all="ignore"):
-        g, w, e, log_w, rows = _tail(gamma, z)
-        ll = -z - e if log_w is None else -(1.0 + 1.0 / g) * log_w - e
-        if rows is not None:  # Gumbel-limit rows among others: NaN so far
-            ll[rows] = -z[rows] - e[rows]
+        w, log_w, log_e, e = _tail(gamma, z)
+        ll = log_e - log_w - e
         if z.size:  # the row reductions need values; an empty z has nothing to mask
             bad = ~((w.min(axis=-1) > 0.0) & (e.max(axis=-1) < np.inf))  # NaN counts as bad
             if bad.any():
                 ll[bad] = np.where((w[bad] > 0.0) & (e[bad] != np.inf), ll[bad], -np.inf)
-    return g, w, e, ll
+    return w, log_w, e, ll
 
 
 def _elementwise(func):
@@ -149,8 +133,10 @@ def gev_cdf(gamma: float, x) -> float | np.ndarray:
     support (gamma>0) and 1 above it (gamma<0).
     """
     with np.errstate(all="ignore"):
-        g, w, e, _, _ = _tail(gamma, x)
-    return np.where(w > 0.0, np.exp(-e), 0.0 if g > 0 else 1.0)
+        w, _, _, e = _tail(gamma, x)
+    # outside only where w < 0: e is already inf or 0 at w = 0, and w is NaN
+    # at gamma == 0, x = +-inf, where exp(-e) holds the limit
+    return np.where(w < 0.0, 0.0 if gamma > 0 else 1.0, np.exp(-e))
 
 
 @_elementwise
@@ -170,12 +156,12 @@ def gev_upper_quantile(gamma: float, p) -> float | np.ndarray:
 
 
 def _from_gumbel(gamma: float, w: np.ndarray) -> np.ndarray:
-    """GEV quantile from the Gumbel quantile w: expm1(gamma*w)/gamma."""
-    g = _shape(gamma)
-    if not g:
+    """GEV quantile from the Gumbel quantile w: expm1(gamma*w)/gamma, or w
+    where gamma is 0 or subnormal, as in ``_tail``."""
+    if abs(gamma) < sys.float_info.min:
         return w
     with np.errstate(over="ignore"):
-        return np.expm1(g * w) / g
+        return np.expm1(gamma * w) / gamma
 
 
 def gev_sample(params: GevParams, n: int, seed) -> np.ndarray:
@@ -214,33 +200,31 @@ def _direct_or_series(u, numerator, denominator, series) -> np.ndarray:
     return out
 
 
-def _phi(u) -> np.ndarray:
-    """(log1p(u) - u/(1+u)) / u^2, a series where |u| < SERIES_CUTOFF."""
-    u = np.asarray(u, dtype=float)
-    return _direct_or_series(u, np.log1p(u) - u / (1.0 + u), u * u, lambda us: (
+def _phi(u, w, log_w) -> np.ndarray:
+    """(log_w - u/w) / u^2 with w = 1 + u and log_w = log1p(u), as ``_tail``
+    forms them; a series where |u| < SERIES_CUTOFF."""
+    return _direct_or_series(u, log_w - u / w, u * u, lambda us: (
         1 / 2 - us * (2 / 3 - us * (3 / 4 - us * (4 / 5 - us * 5 / 6)))))
 
 
-def _dphi(u, phi) -> np.ndarray:
-    """Derivative of ``_phi``: (1/(1+u)^2 - 2*phi) / u with phi = _phi(u),
-    a series where |u| < SERIES_CUTOFF."""
-    u = np.asarray(u, dtype=float)
-    w = 1.0 + u
-    return _direct_or_series(u, 1.0 / (w * w) - 2.0 * phi, u, lambda us: (
+def _dphi(u, ww, phi) -> np.ndarray:
+    """Derivative of ``_phi``: (1/ww - 2*phi) / u with ww = (1 + u)^2 and
+    phi = _phi(u, ...), a series where |u| < SERIES_CUTOFF."""
+    return _direct_or_series(u, 1.0 / ww - 2.0 * phi, u, lambda us: (
         -2 / 3 + us * (3 / 2 - us * (12 / 5 - us * 10 / 3))))
 
 
-def _partials(gamma, z, w, e, hessian: bool) -> np.ndarray:
+def _partials(gamma, z, w, log_w, e, hessian: bool) -> np.ndarray:
     """Partials g_gamma, g_z, z g_z, then, if ``hessian``, g_gg, g_gz, z g_gz,
     g_zz, z g_zz, z^2 g_zz of the standardized log-density at z (rows, n),
     as one array (rows, 3 or 9, n).  Prescott & Walden (Biometrika 1980):
     g_gamma = (1 - e) z^2 phi - z/w, g_z = (e - 1 - g)/w, g_zz = (1 + g)(g - e)/w^2,
     g_gz = (e z^2 phi - 1 - z g_z)/w, g_gg = (z/w)^2 - e (z^2 phi)^2 + (1 - e) z^3 phi',
-    with phi = _phi(g z) and phi' = _dphi(g z, phi)."""
+    with phi = _phi(g z) and phi' = _dphi(g z, phi), from ``_tail``'s w and log_w."""
     parts = np.empty((len(z), 9 if hessian else 3, z.shape[1]))
     p = parts.transpose(1, 0, 2)
     u = gamma * z
-    phi = _phi(u)
+    phi = _phi(u, w, log_w)
     zz = z * z
     s = zz * phi
     r = z / w
@@ -250,23 +234,24 @@ def _partials(gamma, z, w, e, hessian: bool) -> np.ndarray:
     np.multiply(z, p[1], out=p[2])
     if hessian:
         es = e * s
+        ww = w * w
         np.divide(es - 1.0 - p[2], w, out=p[4])
         np.multiply(z, p[4], out=p[5])
-        np.divide((gamma - e) * (1.0 + gamma), w * w, out=p[6])
+        np.divide((gamma - e) * (1.0 + gamma), ww, out=p[6])
         np.multiply(z, p[6], out=p[7])
         np.multiply(z, p[7], out=p[8])
-        np.subtract(r * r - es * s, zz * z * _dphi(u, phi) * em1, out=p[3])
+        np.subtract(r * r - es * s, zz * z * _dphi(u, ww, phi) * em1, out=p[3])
     return parts
 
 
-def _derivative_means(gamma, z, w, e, sigma, hessian: bool) -> np.ndarray:
+def _derivative_means(gamma, z, w, log_w, e, sigma, hessian: bool) -> np.ndarray:
     """Mean gradient of ``gev_loglik3`` over each row of ``z``, then, if ``hessian``,
     the mean Hessian entries gg, gm, gs, mm, ms, ss: (rows, 3 or 9).  The means
     S_j of ``_partials`` are row sums (numpy's pairwise sum) over n, and sigma
     (one, or a column) enters only then: gradient (S_0, -S_1/sigma, -(1 + S_2)/sigma),
     Hessian S_3, -S_4/sigma, -S_5/sigma, S_6/sigma^2, (S_1 + S_7)/sigma^2,
     (1 + 2 S_2 + S_8)/sigma^2: each mean over (-sigma)^_SIGMA_POWERS."""
-    means = np.add.reduce(_partials(gamma, z, w, e, hessian), axis=-1) / z.shape[1]
+    means = np.add.reduce(_partials(gamma, z, w, log_w, e, hessian), axis=-1) / z.shape[1]
     if hessian:  # S_1 + S_7 and (S_2 + S_8) + (1 + S_2)
         means[:, 7:] += means[:, 1:3]
         means[:, 8] += 1.0 + means[:, 2]
@@ -275,14 +260,14 @@ def _derivative_means(gamma, z, w, e, sigma, hessian: bool) -> np.ndarray:
 
 
 def _interior(params: GevParams, x: np.ndarray):
-    """``(g, z, w, e)`` of ``_partials`` for 1-d ``x`` as one row; raises if a
-    point sits on or outside the support boundary."""
+    """``(gamma, z, w, log_w, e)`` of ``_partials`` for 1-d ``x`` as one row;
+    raises if a point sits on or outside the support boundary."""
     z = ((x - params.mu) / params.sigma)[None]
     with np.errstate(all="ignore"):
-        g, w, e, _, _ = _tail(params.gamma, z)
+        w, log_w, _, e = _tail(params.gamma, z)
     if np.any(w <= 0):
         raise ValueError("gradient undefined on or outside the support boundary")
-    return g, z, w, e
+    return params.gamma, z, w, log_w, e
 
 
 def _split_means(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,18 +304,18 @@ def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
 def gev_loglik_x_derivative(gamma: float, x) -> float | np.ndarray:
     """Derivative of the standardized log-likelihood in x (interior only)."""
     with np.errstate(all="ignore"):
-        g, w, e, _, _ = _tail(gamma, x)
+        w, _, _, e = _tail(gamma, x)
     if np.any(w <= 0):
         raise ValueError("derivative undefined outside the support")
-    return (e - (1.0 + g)) / w
+    # w = 1 at gamma == 0, which 1 + 0*z misses at z = +-inf
+    return (e - (1.0 + gamma)) / w if gamma else e - 1.0
 
 
 def gev_mode(gamma: float) -> float:
     """Interior maximizer of the standardized log-likelihood (gamma > -1)."""
     if gamma <= -1.0:
         raise ValueError("no interior maximum for gamma <= -1")
-    g = _shape(gamma)
-    return math.expm1(-g * math.log1p(g)) / g if g else 0.0
+    return math.expm1(-gamma * math.log1p(gamma)) / gamma if gamma else 0.0
 
 
 def gev_loglik_max(gamma: float) -> float:

@@ -33,7 +33,7 @@ from blockmax import (
 )
 from blockmax import fit as fit_module
 from blockmax.fit import _repair
-from blockmax.gev import GAMMA_TINY, SERIES_CUTOFF
+from blockmax.gev import SERIES_CUTOFF
 
 
 class TestSampleLoglik:
@@ -465,10 +465,11 @@ def _mp_grad_hess(theta, x):
 
 
 def _mp_rows():
-    """(name, theta, x): the shapes of SHAPES, then rows whose |gamma z| lies
-    all below, all above and on both sides of SERIES_CUTOFF."""
+    """(name, theta, x): the shapes of SHAPES and more tiny ones around 0, then
+    rows whose |gamma z| lies all below, all above and on both sides of
+    SERIES_CUTOFF."""
     rows = [(f"gamma={g}", (g, 0.4, 1.5), gev_sample(GevParams(g, 0.5, 1.3), 40, seed=72))
-            for g in SHAPES]
+            for g in SHAPES + (-1e-9, 1e-12, -1e-12)]
     rng = np.random.default_rng(74)
     return rows + [
         ("below", (2e-4, 0.0, 1.0), rng.uniform(-4.0, 4.0, 40)),
@@ -491,12 +492,10 @@ class TestKernelAgainstMpmath:
         want_grad, want_hess = _mp_grad_hess(theta, x)
         gamma, mu, sigma = theta
         u = gamma * (x - mu) / sigma
-        if 0.0 < abs(gamma) < GAMMA_TINY:
-            band = 1e-8    # the kernel takes the Gumbel limit
-        elif gamma and np.any(np.abs(u) < SERIES_CUTOFF):
+        if np.any((1e-5 < np.abs(u)) & (np.abs(u) < SERIES_CUTOFF)):
             band = 2e-10   # the phi' series is cut after its u^3 term
         else:
-            band = 4e-15
+            band = 4e-15   # no series, or one whose u^4 term is below rounding
         assert np.max(np.abs(grad - want_grad)) <= band * np.max(np.abs(want_grad))
         assert np.max(np.abs(hess - want_hess)) <= band * np.max(np.abs(want_hess))
 

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -233,12 +236,17 @@ class TestGradient:
 
 
 def test_phi_derivative_matches_differences():
+    def phi(u):  # with w and log w formed as _tail forms them
+        u = np.array([u])
+        return _phi(u, 1.0 + u, np.log1p(u))
+
     # both sides of the series cutoff, and far from it
     for u in (-0.9, -0.2, -1.5 * SERIES_CUTOFF, -0.5 * SERIES_CUTOFF, 0.0,
               1e-6, 0.5 * SERIES_CUTOFF, 1.5 * SERIES_CUTOFF, 0.2, 3.0):
         h = 1e-5
-        fd = (_phi(u + h) - _phi(u - h)) / (2 * h)
-        assert float(_dphi(u, _phi(u))) == pytest.approx(float(fd), rel=1e-7, abs=1e-7)
+        fd = (phi(u + h) - phi(u - h)) / (2 * h)
+        dphi = _dphi(np.array([u]), np.array([(1.0 + u) * (1.0 + u)]), phi(u))
+        assert float(dphi[0]) == pytest.approx(float(fd[0]), rel=1e-7, abs=1e-7)
 
 
 class TestExtremeArguments:
@@ -259,13 +267,26 @@ class TestExtremeArguments:
         assert np.all(np.isfinite(loglik[expected_finite]))
         assert np.all(loglik[~expected_finite] == -np.inf)
 
+    # -1e8 lies inside the gamma = 1e-9 support, whose lower end is -1e9
     @pytest.mark.parametrize("gamma, points", [
-        (0.0, [-1e300, -1000.0]), (1e-9, [-1e300, -1000.0]), (-0.3, [-1e300])])
+        (0.0, [-1e300, -1000.0]), (1e-9, [-1e8, -1000.0]), (-0.3, [-1e300])])
     def test_x_derivative_diverges_quietly(self, gamma, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = gev_loglik_x_derivative(gamma, np.array(points))
         assert np.all(values == np.inf)
+
+    def test_x_derivative_raises_below_a_tiny_shape_support(self):
+        with pytest.raises(ValueError, match="outside the support"):
+            gev_loglik_x_derivative(1e-9, np.array([-1e300]))
+
+    def test_gumbel_infinite_arguments(self):
+        # w = 1 for every x at gamma = 0, also at x = -inf and inf
+        x = np.array([-np.inf, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gev_loglik_x_derivative(0.0, x).tolist() == [np.inf, -1.0]
+            assert gev_cdf(0.0, x).tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("func", [
@@ -329,7 +350,8 @@ class TestSupport:
 
 
 class TestGumbelThreshold:
-    """Every function takes the Gumbel branch for |gamma| < 1e-8 and none above it."""
+    """Every function takes the Gumbel branch at gamma == 0 and at no other
+    normal shape, however small."""
 
     U = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9])
     X = np.array([-3.0, -0.5, 1.5, 10.0])  # not 0, where both branches give -1
@@ -340,8 +362,8 @@ class TestGumbelThreshold:
         dist = dataclasses.replace(gev_reference(gamma), gumbel_scale=lambda m: 7.0)
         return dist, norm_constants(dist, 1000)
 
-    @pytest.mark.parametrize("gamma", [0.5e-8, -0.5e-8, 0.99e-8, -0.99e-8])
-    def test_inside_takes_gumbel_branch(self, gamma):
+    @pytest.mark.parametrize("gamma", [0.0, -0.0])
+    def test_zero_takes_gumbel_branch(self, gamma):
         assert support_interval(gamma) == support_interval(0.0)
         assert support_interval(gamma).lower == -math.inf
         assert support_interval(gamma).upper == math.inf
@@ -351,7 +373,8 @@ class TestGumbelThreshold:
         assert np.array_equal(gev_quantile(gamma, self.U), gev_quantile(0.0, self.U))
         assert np.array_equal(gev_loglik(gamma, self.X), gev_loglik(0.0, self.X))
 
-    @pytest.mark.parametrize("gamma", [1.01e-8, -1.01e-8, 2e-8, -2e-8])
+    @pytest.mark.parametrize("gamma", [0.5e-8, -0.5e-8, 0.99e-8, -0.99e-8,
+                                       1.01e-8, -1.01e-8, 2e-8, -2e-8])
     def test_outside_keeps_the_shape(self, gamma):
         span = support_interval(gamma)
         assert (span.lower, span.upper) == ((-1.0 / gamma, math.inf) if gamma > 0
@@ -363,6 +386,24 @@ class TestGumbelThreshold:
         assert gev_mode(gamma) != 0.0
         assert np.all(gev_quantile(gamma, self.U) != gev_quantile(0.0, self.U))
         assert np.all(gev_loglik(gamma, self.X) != gev_loglik(0.0, self.X))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(gamma=st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300])
+       | st.floats(-1e-6, 1e-6), z=st.floats(-20.0, 50.0))
+def test_loglik_is_continuous_through_zero(gamma, z):
+    # ll(gamma) = ll(0) + gamma g_gamma + gamma^2 g_gg / 2 + ... at gamma = 0, where
+    # g_gamma = (1 - e) z^2/2 - z and |g_gg| <= z^2 + e z^4/4 + 2/3 |1 - e| |z|^3
+    # with e = exp(-z); the rounding of e = exp(-z L) grows with e |z|
+    ll0 = gev_loglik(0.0, z)
+    e = math.exp(-z)
+    g_gamma = (1.0 - e) * z * z / 2 - z
+    g_gg = z * z + e * z ** 4 / 4 + 2 / 3 * abs(1.0 - e) * abs(z) ** 3
+    rounding = 8 * sys.float_info.epsilon * (1.0 + abs(z)) * (1.0 + e)
+    ll = gev_loglik(gamma, z)
+    assert abs(ll - ll0 - gamma * g_gamma) <= gamma * gamma * g_gg + rounding
+    if abs(gamma) < sys.float_info.min:  # gamma * z underflows: the Gumbel value
+        assert abs(ll - ll0) <= 4e-16 * abs(ll0)
 
 
 def test_params_require_positive_scale():
