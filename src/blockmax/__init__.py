@@ -32,7 +32,6 @@ from .distributions import (
     sample_iid,
 )
 from .blocks import (
-    BlockMaximaSeries,
     block_maxima,
     empirical_mean_loglik,
     ks_distance,

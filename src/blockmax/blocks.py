@@ -1,29 +1,12 @@
 """Block maxima extraction, normalization and empirical-measure functionals."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .distributions import NormalizingConstants
-from .gev import GevParams, gev_cdf, gev_loglik3
-
-
-@dataclass(frozen=True)
-class BlockMaximaSeries:
-    """Per-block maxima of a contiguous partition into blocks of fixed length.
-
-    A trailing block shorter than ``block_length`` is dropped: its maximum
-    would follow a different power of the base distribution and would
-    contaminate everything downstream.
-    """
-
-    values: np.ndarray
-    block_length: int
-
-    def __len__(self) -> int:
-        return len(self.values)
+from .gev import GevParams, _nonempty, gev_cdf, gev_loglik3
 
 
 def check_finite(values: np.ndarray, where: str = "") -> None:
@@ -37,26 +20,32 @@ def check_finite(values: np.ndarray, where: str = "") -> None:
         )
 
 
-def block_maxima(data, m: int) -> BlockMaximaSeries:
-    """Split ``data`` into blocks of length m and take each block's max."""
+def block_maxima(data, m: int) -> np.ndarray:
+    """The maxima of the contiguous blocks of length m of one series, as floats.
+
+    A trailing block shorter than m is dropped: its maximum would follow a
+    different power of the base distribution and would contaminate
+    everything downstream.
+    """
     data = np.asarray(data, dtype=float)
+    if data.ndim != 1:
+        raise ValueError(f"block_maxima takes one series, got {data.ndim}-d input")
     if m < 1:
         raise ValueError("block length m must be >= 1")
     check_finite(data)
     n_blocks = data.size // m
     if n_blocks == 0:
         raise ValueError(f"data length {data.size} is shorter than one block of length {m}")
-    maxima = data[: n_blocks * m].reshape(n_blocks, m).max(axis=1)
-    return BlockMaximaSeries(values=maxima, block_length=int(m))
+    return data[: n_blocks * m].reshape(n_blocks, m).max(axis=1)
 
 
-def normalize(series: BlockMaximaSeries, constants: NormalizingConstants) -> np.ndarray:
-    """The maxima centered by b_m and rescaled by a_m; block lengths must agree."""
-    if constants.m != series.block_length:
-        raise ValueError(
-            f"constants are for block length {constants.m}, series has {series.block_length}"
-        )
-    return (series.values - constants.b_m) / constants.a_m
+def normalize(maxima: np.ndarray, constants: NormalizingConstants) -> np.ndarray:
+    """The maxima centered by b_m and rescaled by a_m.
+
+    The maxima must be of block length ``constants.m``; nothing here can
+    check that, since an array of maxima does not carry its block length.
+    """
+    return (maxima - constants.b_m) / constants.a_m
 
 
 def _sorted_points(values) -> np.ndarray:
@@ -85,9 +74,7 @@ def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
     """Mean of ``gev_loglik3`` over ``x``, behind ``empirical_mean_loglik`` and
     ``fit.sample_loglik``; -inf if any point scores -inf (an infinite point
     does) or the sum overflows.  NaN points are refused with a count."""
-    if x.size == 0:
-        raise ValueError("empty series")
-    ll = np.atleast_1d(gev_loglik3(params, x))
+    ll = np.atleast_1d(gev_loglik3(params, _nonempty(x)))
     with np.errstate(over="ignore"):
         mean = float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
     if not mean > -np.inf:  # NaN data score -inf at every shape: look only then

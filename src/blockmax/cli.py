@@ -59,10 +59,10 @@ def cmd_simulate(args, command_line: str) -> int:
 
 def cmd_blocks(args, command_line: str) -> int:
     data = read_values(args.input)
-    series = block_maxima(data, args.block_size)
-    write_values(args.out, series.values, _meta_lines(command_line, {
-        "block_size": series.block_length,
-        "n_blocks": len(series),
+    maxima = block_maxima(data, args.block_size)
+    write_values(args.out, maxima, _meta_lines(command_line, {
+        "block_size": args.block_size,
+        "n_blocks": maxima.size,
         "source_length": data.size,
     }))
     return 0
@@ -79,7 +79,7 @@ def cmd_fit(args, command_line: str) -> int:
             f"{args.input}: {data.size} values give {data.size // args.block_size} "
             f"blocks of length {args.block_size}; need at least 3"
         )
-    maxima = block_maxima(data, args.block_size).values
+    maxima = block_maxima(data, args.block_size)
     if maxima.min() == maxima.max():
         raise ValueError(f"{args.input}: all {maxima.size} block maxima of length "
                          f"{args.block_size} equal {float(maxima[0])!r}; "

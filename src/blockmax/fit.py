@@ -39,6 +39,7 @@ from .gev import (
     _derivative_means,
     _interior,
     _log_density,
+    _nonempty,
     _split_means,
     _tail,
     gev_loglik3,
@@ -90,7 +91,7 @@ def sample_loglik(theta: GevParams, series) -> float:
 def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
     """Mean analytic gradient of the log-likelihood, shape (3,); bit for bit
     the gradient ``fit_mle``'s verdict judges (one row of the same kernel)."""
-    x = np.atleast_1d(np.asarray(series, dtype=float))
+    x = _nonempty(np.atleast_1d(np.asarray(series, dtype=float)))
     return _derivative_means(*_interior(theta, x), theta.sigma, False)[0]
 
 
@@ -150,7 +151,7 @@ def feasibility_margin(theta: GevParams, series) -> float:
     Each rounded step from x to 1 + gamma*z is monotone in x, so the
     minimum sits at the smallest or the largest observation, bit for bit.
     """
-    x = np.asarray(series, dtype=float).reshape(1, -1)
+    x = _nonempty(np.asarray(series, dtype=float).reshape(1, -1))
     return float(_margins(theta.as_array()[None], x)[0])
 
 
@@ -159,19 +160,19 @@ def is_feasible(theta: GevParams, series) -> bool:
     return math.isfinite(sample_loglik(theta, series))
 
 
-def _repair(theta, X, floor=None):
+def _repair(theta, X):
     """Shrink gamma toward 0 and inflate sigma, row by row, until each row of
-    ``X`` fits inside; returns the points and ``_loglik_rows`` at them."""
+    ``X`` fits inside; returns the points and ``_loglik_rows`` at them, the
+    derivative means included."""
     theta = theta.copy()
     values = np.empty(len(theta))
-    means = None if floor is None else np.empty((len(theta), 9))
+    means = np.empty((len(theta), 9))
     pending = np.arange(len(theta))
     for _ in range(200):
-        vals, found = _loglik_rows(theta[pending], X, pending, floor)
+        vals, found = _loglik_rows(theta[pending], X, pending, -sys.float_info.max)
         done = np.isfinite(vals)
         values[pending[done]] = vals[done]
-        if means is not None:
-            means[pending[done]] = found[done]
+        means[pending[done]] = found[done]
         pending = pending[~done]
         if not pending.size:
             return theta, values, means
@@ -373,7 +374,7 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     Step sizes are relative, 1e-4 * (1 + |component|), balancing
     truncation against round-off for a twice-differenced mean of logs.
     """
-    x = np.asarray(series, dtype=float).reshape(1, -1)
+    x = _nonempty(np.asarray(series, dtype=float).reshape(1, -1))
     vec, rows = theta.as_array()[None], np.zeros(1, dtype=int)
     f0, _ = _loglik_rows(vec, x)
     if not math.isfinite(f0[0]):
@@ -429,8 +430,7 @@ def fit_mle(series):
     scale = np.where(q3 > q1, q3 - q1, X.max(axis=1) - X.min(axis=1))
     Y = (X - center[:, None]) / scale[:, None]
     # the repair's pass is the ascent's first: value, gradient and Hessian, finite values only
-    start, current, means = _repair(_moment_starts(np.sort(Y, axis=1)), Y,
-                                    floor=-sys.float_info.max)
+    start, current, means = _repair(_moment_starts(np.sort(Y, axis=1)), Y)
 
     # d/dmu and d/dsigma in data units are 1/scale times those on y
     units = np.stack([np.ones(len(X)), 1.0 / scale, 1.0 / scale], axis=1)

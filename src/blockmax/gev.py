@@ -259,6 +259,13 @@ def _derivative_means(gamma, z, w, log_w, e, sigma, hessian: bool) -> np.ndarray
     return means / (-sigma) ** _SIGMA_POWERS[:means.shape[1]]
 
 
+def _nonempty(x: np.ndarray) -> np.ndarray:
+    """``x`` if it holds a value; the one-series functions refuse an empty series."""
+    if not x.size:
+        raise ValueError("empty series")
+    return x
+
+
 def _interior(params: GevParams, x: np.ndarray):
     """``(gamma, z, w, log_w, e)`` of ``_partials`` for 1-d ``x`` as one row;
     raises if a point sits on or outside the support boundary."""
@@ -296,7 +303,7 @@ def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
     The one-row call of the fit's derivative kernel; its gradient is
     ``sample_loglik_gradient``.  Raises where ``gev_loglik_gradient`` does.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _nonempty(np.atleast_1d(np.asarray(x, dtype=float)))
     return _split_means(_derivative_means(*_interior(params, x), params.sigma, True)[0])
 
 

@@ -10,7 +10,6 @@ The lab also owns the format of every study file: the CSV rows, the
 """
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import functools
@@ -22,7 +21,6 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .blocks import (
-    BlockMaximaSeries,
     block_maxima,  # noqa: F401  unused here; benchmarks/tracing.py wraps this binding
     empirical_mean_loglik,
     ks_distance,
@@ -230,8 +228,8 @@ def _replications(dist, n, constants, seed, stream, cell, reps, draw=None):
     m = constants.m
     for rep in reps:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, cell, rep)))
-        series = BlockMaximaSeries((draw or sample_iid)(dist, n, rng, m), m)
-        yield series, normalize(series, constants)
+        maxima = (draw or sample_iid)(dist, n, rng, m)
+        yield maxima, normalize(maxima, constants)
 
 
 def _cells(
@@ -296,15 +294,17 @@ def _run_task(task):
 def _pooled(work, tasks):
     """``work(*task)`` for each of ``tasks``, in order.
 
-    The tasks run in ``min(_worker_count(), len(tasks))`` forked workers,
-    with at most two per worker in flight.  Workers are forked, not
-    spawned, so they import nothing, receive ``work`` through the pool's
-    initializer and run this module's bindings as the caller has them, a
-    wrapped ``fit_mle`` included.  A task that raises raises here, and a
-    worker that dies raises ``BrokenProcessPool`` here instead of leaving
-    the caller waiting.  With one worker, no ``fork`` start method or a
-    daemonic caller (which may not have children), each task runs through
-    the same ``work`` in this process.  The results are the same either way.
+    The tasks run in ``min(_worker_count(), len(tasks))`` forked workers
+    through ``ProcessPoolExecutor.map``, which yields the results in order.
+    Workers are forked, not spawned, so they import nothing, receive
+    ``work`` through the pool's initializer and run this module's bindings
+    as the caller has them, a wrapped ``fit_mle`` included.  A task that
+    raises raises here, and a worker that dies raises ``BrokenProcessPool``
+    here instead of leaving the caller waiting; either, or closing this
+    generator, cancels the tasks that have not started.  With one worker,
+    no ``fork`` start method or a daemonic caller (which may not have
+    children), each task runs through the same ``work`` in this process.
+    The results are the same either way.
     """
     workers = min(_worker_count(), len(tasks))
     pool = None
@@ -321,13 +321,7 @@ def _pooled(work, tasks):
             yield work(*task)
         return
     with pool:  # leaving a pool joins its workers
-        pending = collections.deque()
-        for task in tasks:
-            pending.append(pool.submit(_run_task, task))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        for future in pending:
-            yield future.result()
+        yield from pool.map(_run_task, tasks)
 
 
 def _study_block(dist, seed, cells, cell, first, count):
@@ -342,7 +336,7 @@ def _study_block(dist, seed, cells, cell, first, count):
     n, constants = cells[cell]
     reps = range(first, first + count)
     block = list(_replications(dist, n, constants, seed, 0, cell, reps))
-    fits = fit_mle(np.array([series.values for series, _ in block]))
+    fits = fit_mle(np.array([maxima for maxima, _ in block]))
     truth = GevParams(dist.gamma0, 0.0, 1.0)
     return [StudyRow(
         n=n,

@@ -25,17 +25,25 @@ from blockmax import (
 
 class TestBlockMaxima:
     def test_by_hand(self):
-        series = block_maxima([1, 3, 2, 5, 4, 0], 2)
-        np.testing.assert_array_equal(series.values, [3, 5, 4])
-        assert series.block_length == 2
+        maxima = block_maxima([1, 3, 2, 5, 4, 0], 2)  # integer input, float maxima
+        assert isinstance(maxima, np.ndarray) and maxima.dtype == np.float64
+        np.testing.assert_array_equal(maxima, [3, 5, 4])
 
     def test_remainder_dropped(self):
-        series = block_maxima([1, 3, 2, 5, 4, 0], 4)
-        np.testing.assert_array_equal(series.values, [5])
+        np.testing.assert_array_equal(block_maxima([1, 3, 2, 5, 4, 0], 4), [5])
 
     def test_block_one_is_identity(self):
         data = np.array([2.0, -1.0, 7.5])
-        np.testing.assert_array_equal(block_maxima(data, 1).values, data)
+        np.testing.assert_array_equal(block_maxima(data, 1), data)
+
+    @pytest.mark.parametrize("data, m, ndim", [
+        (5.0, 1, 0),
+        (np.ones((3, 4)), 5, 2),
+        (np.ones((3, 4)), 2, 2),  # divisible, so a reshape would flatten it silently
+    ])
+    def test_one_series_only(self, data, m, ndim):
+        with pytest.raises(ValueError, match=f"block_maxima takes one series, got {ndim}-d input"):
+            block_maxima(data, m)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -48,45 +56,38 @@ class TestBlockMaxima:
     def test_permutation_within_blocks_invariant(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=60)
-        base = block_maxima(data, 5).values
+        base = block_maxima(data, 5)
         shuffled = data.reshape(12, 5).copy()
         for row in shuffled:
             rng.shuffle(row)
-        np.testing.assert_array_equal(block_maxima(shuffled.ravel(), 5).values, base)
+        np.testing.assert_array_equal(block_maxima(shuffled.ravel(), 5), base)
 
     def test_monotone_in_data(self):
         rng = np.random.default_rng(9)
         data = rng.normal(size=60)
-        base = block_maxima(data, 6).values
+        base = block_maxima(data, 6)
         for idx in rng.integers(0, 60, size=12):
             bumped = data.copy()
             bumped[idx] += abs(rng.normal()) + 0.1
-            assert np.all(block_maxima(bumped, 6).values >= base)
+            assert np.all(block_maxima(bumped, 6) >= base)
 
 
 class TestNormalize:
     def test_elementwise(self):
-        series = block_maxima([3.0, 5.0, 4.0], 1)
+        maxima = block_maxima([3.0, 5.0, 4.0], 1)
         constants = NormalizingConstants(a_m=2.0, b_m=3.0, m=1)
-        np.testing.assert_allclose(normalize(series, constants), [0.0, 1.0, 0.5])
+        np.testing.assert_allclose(normalize(maxima, constants), [0.0, 1.0, 0.5])
 
     def test_identity_constants(self):
-        series = block_maxima([3.0, 5.0, 4.0], 1)
+        maxima = block_maxima([3.0, 5.0, 4.0], 1)
         constants = NormalizingConstants(a_m=1.0, b_m=0.0, m=1)
-        np.testing.assert_array_equal(normalize(series, constants), series.values)
-
-    def test_block_length_mismatch(self):
-        series = block_maxima(np.arange(10.0), 2)
-        with pytest.raises(ValueError):
-            normalize(series, NormalizingConstants(a_m=1.0, b_m=0.0, m=3))
+        np.testing.assert_array_equal(normalize(maxima, constants), maxima)
 
     def test_pareto_exact_constants(self):
         data = sample_iid(pareto(1.0), 5000, seed=21)
-        series = block_maxima(data, 100)
-        normalized = normalize(series, norm_constants(pareto(1.0), 100))
-        np.testing.assert_allclose(
-            normalized, (series.values - 100.0) / 100.0, rtol=1e-12,
-        )
+        maxima = block_maxima(data, 100)
+        normalized = normalize(maxima, norm_constants(pareto(1.0), 100))
+        np.testing.assert_allclose(normalized, (maxima - 100.0) / 100.0, rtol=1e-12)
 
 
 class TestEmpiricalCdf:

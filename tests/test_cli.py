@@ -112,6 +112,7 @@ class TestBlocks:
         run("simulate", "--dist", "exponential", "--n", 103, "--seed", 5, "--out", sim)
         assert run("blocks", "--in", sim, "--block-size", 10, "--out", blk) == 0
         header = [line for line in blk.read_text().splitlines() if line.startswith("#")]
+        assert "# block_size: 10" in header
         assert "# n_blocks: 10" in header
         assert "# source_length: 103" in header
 

@@ -43,17 +43,23 @@ class TestSampleLoglik:
     def test_infeasible_observation(self):
         assert sample_loglik(GevParams(1.0, 0.0, 1.0), [0.5, -2.0]) == -math.inf
 
+    @pytest.mark.parametrize("one_series", [sample_loglik, feasibility_margin, numeric_hessian,
+                                            sample_loglik_gradient, gev_loglik_grad_hess])
+    def test_empty_series_refused(self, one_series):
+        with pytest.raises(ValueError, match="^empty series$"):  # no RuntimeWarning first
+            one_series(GevParams(0.5, 0.0, 1.0), [])
+
     def test_matches_normalized_likelihood(self):
         # L_n(g,mu,sigma) = normalized L_n(g,(mu-b)/a,sigma/a) - log(a)
         rng = np.random.default_rng(100)
         dist = pareto(1.0)
         data = sample_iid(dist, 20_000, seed=41)
-        series = block_maxima(data, 200)
+        maxima = block_maxima(data, 200)
         constants = norm_constants(dist, 200)
-        normalized = normalize(series, constants)
+        normalized = normalize(maxima, constants)
         for _ in range(20):
             theta = GevParams(rng.uniform(0.2, 2.0), rng.uniform(100, 300), rng.uniform(50, 300))
-            lhs = sample_loglik(theta, series.values)
+            lhs = sample_loglik(theta, maxima)
             rhs = sample_loglik(
                 GevParams(
                     theta.gamma,
