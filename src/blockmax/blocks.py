@@ -6,18 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import NormalizingConstants
-from .gev import GevParams, _nonempty, gev_cdf, gev_loglik3
-
-
-def check_finite(values: np.ndarray, where: str = "") -> None:
-    """Refuse NaN and infinite values with a count of each; errors start with ``where``."""
-    if not np.all(np.isfinite(values)):
-        n_nan = int(np.count_nonzero(np.isnan(values)))
-        n_inf = int(np.count_nonzero(np.isinf(values)))
-        prefix = f"{where}: " if where else ""
-        raise ValueError(
-            f"{prefix}{n_nan} NaN and {n_inf} infinite values among {values.size} observations"
-        )
+from .gev import GevParams, _series, check_finite, gev_cdf, gev_loglik3
 
 
 def block_maxima(data, m: int) -> np.ndarray:
@@ -27,9 +16,7 @@ def block_maxima(data, m: int) -> np.ndarray:
     different power of the base distribution and would contaminate
     everything downstream.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 1:
-        raise ValueError(f"block_maxima takes one series, got {data.ndim}-d input")
+    data = _series(data, "block_maxima")
     if m < 1:
         raise ValueError("block length m must be >= 1")
     check_finite(data)
@@ -48,47 +35,34 @@ def normalize(maxima: np.ndarray, constants: NormalizingConstants) -> np.ndarray
     return (maxima - constants.b_m) / constants.a_m
 
 
-def _sorted_points(values) -> np.ndarray:
-    """The points of an equal-weight empirical measure, sorted."""
-    points = np.sort(np.asarray(values, dtype=float))
-    if points.size == 0:
-        raise ValueError("empirical measure needs at least one point")
-    return points
-
-
 def ks_distance(values, gamma: float) -> float:
     """Exact sup-distance between the empirical CDF of ``values`` and the GEV CDF.
 
     The supremum of a step-versus-continuous difference is attained at a
     jump, so both one-sided gaps are evaluated at every order statistic.
     """
-    x = _sorted_points(values)
+    x = np.sort(_series(values, "ks_distance"))
     n = x.size
-    f = np.atleast_1d(gev_cdf(gamma, x))
+    f = gev_cdf(gamma, x)
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
     return float(max(np.max(steps_hi - f), np.max(f - steps_lo)))
 
 
 def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
-    """Mean of ``gev_loglik3`` over ``x``, behind ``empirical_mean_loglik`` and
-    ``fit.sample_loglik``; -inf if any point scores -inf (an infinite point
-    does) or the sum overflows.  NaN points are refused with a count."""
-    ll = np.atleast_1d(gev_loglik3(params, _nonempty(x)))
+    """Mean of ``gev_loglik3`` over the series ``x`` (one that passed ``_series``),
+    behind ``empirical_mean_loglik`` and ``fit.sample_loglik``; -inf if any point
+    scores -inf (an infinite point does) or the sum overflows."""
+    ll = gev_loglik3(params, x)
     with np.errstate(over="ignore"):
-        mean = float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
-    if not mean > -np.inf:  # NaN data score -inf at every shape: look only then
-        n_nan = int(np.count_nonzero(np.isnan(x)))
-        if n_nan:
-            raise ValueError(f"{n_nan} NaN values among {x.size} observations")
-    return mean
+        return float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
 
 
 def empirical_mean_loglik(values, params: GevParams) -> float:
     """Mean log-likelihood over the empirical measure of ``values``; -inf if
     any point is outside the support of ``params``.  The sum runs in sorted
     order, so the result does not depend on the order of the points."""
-    return _mean_loglik(params, _sorted_points(values))
+    return _mean_loglik(params, np.sort(_series(values, "empirical_mean_loglik")))
 
 
 def read_values(path) -> np.ndarray:

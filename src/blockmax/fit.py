@@ -32,16 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _mean_loglik, check_finite
+from .blocks import _mean_loglik
 from .gev import (
     EULER_GAMMA,
     GevParams,
     _derivative_means,
     _interior,
     _log_density,
-    _nonempty,
+    _series,
     _split_means,
     _tail,
+    check_finite,
     gev_loglik3,
     gev_loglik_gradient,  # not called here: benchmarks/tracing.py wraps this binding
     gev_quantile,
@@ -85,34 +86,34 @@ class FitResult:
 
 def sample_loglik(theta: GevParams, series) -> float:
     """Mean log-likelihood over the observations; -inf if any is infeasible."""
-    return _mean_loglik(theta, np.asarray(series, dtype=float))
+    return _mean_loglik(theta, _series(series, "sample_loglik"))
 
 
 def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
     """Mean analytic gradient of the log-likelihood, shape (3,); bit for bit
     the gradient ``fit_mle``'s verdict judges (one row of the same kernel)."""
-    x = _nonempty(np.atleast_1d(np.asarray(series, dtype=float)))
-    return _derivative_means(*_interior(theta, x), theta.sigma, False)[0]
+    x = _series(series, "sample_loglik_gradient")
+    return _derivative_means(*_interior(theta, x), theta.sigma)[0, :3]
 
 
-def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
+def _loglik_rows(theta, X, rows=None, floor=None):
     """Mean log-likelihood of row ``rows[k]`` of ``X`` (row k without ``rows``)
     at ``theta[k]``, for each k.
 
     Bit for bit ``sample_loglik``, -inf where an observation is infeasible.
     With ``floor`` (a scalar or one per k), the same pass also returns the
-    derivative means of ``gev._derivative_means`` (nine, or the three
-    gradient ones without ``hessian``) for every k whose value is not below
-    its floor; ``gev_loglik_grad_hess`` and ``sample_loglik_gradient`` are
-    its one-row calls.  Other entries are NaN.  Rows go through in chunks
-    of ``BLOCK_VALUES // (n * width)`` (at least one), where width is the
-    number of values per observation, so no array holds more than
-    ``BLOCK_VALUES`` values unless one row does.
+    nine derivative means of ``gev._derivative_means`` for every k whose
+    value is not below its floor; ``gev_loglik_grad_hess`` and
+    ``sample_loglik_gradient`` are its one-row calls.  Other entries are
+    NaN.  Rows go through in chunks of ``BLOCK_VALUES // (n * width)`` (at
+    least one), where width is the number of values per observation (1, or
+    9 with ``floor``), so no array holds more than ``BLOCK_VALUES`` values
+    unless one row does.
     """
     n = X.shape[1]
-    width = 1 if floor is None else 9 if hessian else 3
+    width = 1 if floor is None else 9
     values = np.empty(len(theta))
-    means = None if floor is None else np.full((len(theta), width), np.nan)
+    means = None if floor is None else np.full((len(theta), 9), np.nan)
     chunk = max(1, BLOCK_VALUES // (n * width))
     with np.errstate(all="ignore"):
         for lo in range(0, len(theta), chunk):
@@ -132,7 +133,7 @@ def _loglik_rows(theta, X, rows=None, floor=None, hessian=True):
                 if not want.size:
                     continue
                 gamma, sigma, z, w, log_w, e = (v[want] for v in (gamma, sigma, z, w, log_w, e))
-            means[part][want] = _derivative_means(gamma, z, w, log_w, e, sigma, hessian)
+            means[part][want] = _derivative_means(gamma, z, w, log_w, e, sigma)
     return values, means
 
 
@@ -151,13 +152,13 @@ def feasibility_margin(theta: GevParams, series) -> float:
     Each rounded step from x to 1 + gamma*z is monotone in x, so the
     minimum sits at the smallest or the largest observation, bit for bit.
     """
-    x = _nonempty(np.asarray(series, dtype=float).reshape(1, -1))
+    x = _series(series, "feasibility_margin")[None]
     return float(_margins(theta.as_array()[None], x)[0])
 
 
 def is_feasible(theta: GevParams, series) -> bool:
     """True exactly where ``sample_loglik`` is finite."""
-    return math.isfinite(sample_loglik(theta, series))
+    return math.isfinite(_mean_loglik(theta, _series(series, "is_feasible")))
 
 
 def _repair(theta, X):
@@ -227,13 +228,11 @@ def pwm_init(series) -> GevParams:
     Standard sample L-moments with the rational shape approximation; the
     shape is clamped into a conservative sub-range and the result is
     repaired into strict feasibility so the search starts finite.  The
-    series passes ``fit_mle``'s input checks.  ``fit_mle`` takes the same
-    start on its standardized series, so the two agree up to rounding.
+    series passes the one-series check and ``fit_mle``'s input checks.
+    ``fit_mle`` takes the same start on its standardized series, so the two
+    agree up to rounding.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim > 1:
-        raise ValueError(f"pwm_init takes one series, got {x.ndim}-d input")
-    xs = np.sort(_checked_rows(x), axis=1)
+    xs = np.sort(_checked_rows(_series(series, "pwm_init")), axis=1)
     theta, _, _ = _repair(_moment_starts(xs), xs)
     return GevParams.from_array(theta[0])
 
@@ -374,7 +373,7 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     Step sizes are relative, 1e-4 * (1 + |component|), balancing
     truncation against round-off for a twice-differenced mean of logs.
     """
-    x = _nonempty(np.asarray(series, dtype=float).reshape(1, -1))
+    x = _series(series, "numeric_hessian")[None]
     vec, rows = theta.as_array()[None], np.zeros(1, dtype=int)
     f0, _ = _loglik_rows(vec, x)
     if not math.isfinite(f0[0]):
@@ -445,7 +444,7 @@ def fit_mle(series):
         where = f"row {row}: " if x.ndim == 2 else ""
         raise RuntimeError(f"{where}fit ended outside the feasible region "
                            f"(margin {float(margins[row])!r})")
-    loglik, grads = _loglik_rows(theta_x, X, floor=-np.inf, hessian=False)
+    loglik, means = _loglik_rows(theta_x, X, floor=-np.inf)
 
     # the stencil needs a finite value at the estimate, as numeric_hessian does
     negdef = np.zeros(len(X), dtype=bool)
@@ -459,7 +458,7 @@ def fit_mle(series):
     results = []
     for row, theta_hat in enumerate(thetas):
         margin = float(margins[row])
-        grad_norm = math.hypot(*grads[row].tolist())
+        grad_norm = math.hypot(*means[row, :3].tolist())
         failed = [message for fails, message in (
             (margin <= 1e-6, f"feasibility boundary: min block margin {margin:.3e}"),
             (theta_hat.gamma <= GAMMA_FLOOR + 1e-6, "shape pinned at the lower admissible bound"),

@@ -214,14 +214,14 @@ def _dphi(u, ww, phi) -> np.ndarray:
         -2 / 3 + us * (3 / 2 - us * (12 / 5 - us * 10 / 3))))
 
 
-def _partials(gamma, z, w, log_w, e, hessian: bool) -> np.ndarray:
-    """Partials g_gamma, g_z, z g_z, then, if ``hessian``, g_gg, g_gz, z g_gz,
-    g_zz, z g_zz, z^2 g_zz of the standardized log-density at z (rows, n),
-    as one array (rows, 3 or 9, n).  Prescott & Walden (Biometrika 1980):
+def _partials(gamma, z, w, log_w, e) -> np.ndarray:
+    """Partials g_gamma, g_z, z g_z, g_gg, g_gz, z g_gz, g_zz, z g_zz, z^2 g_zz of
+    the standardized log-density at z (rows, n), as one array (rows, 9, n).
+    Prescott & Walden (Biometrika 1980):
     g_gamma = (1 - e) z^2 phi - z/w, g_z = (e - 1 - g)/w, g_zz = (1 + g)(g - e)/w^2,
     g_gz = (e z^2 phi - 1 - z g_z)/w, g_gg = (z/w)^2 - e (z^2 phi)^2 + (1 - e) z^3 phi',
     with phi = _phi(g z) and phi' = _dphi(g z, phi), from ``_tail``'s w and log_w."""
-    parts = np.empty((len(z), 9 if hessian else 3, z.shape[1]))
+    parts = np.empty((len(z), 9, z.shape[1]))
     p = parts.transpose(1, 0, 2)
     u = gamma * z
     phi = _phi(u, w, log_w)
@@ -232,37 +232,53 @@ def _partials(gamma, z, w, log_w, e, hessian: bool) -> np.ndarray:
     np.subtract(-(em1 * s), r, out=p[0])
     np.divide(em1 - gamma, w, out=p[1])
     np.multiply(z, p[1], out=p[2])
-    if hessian:
-        es = e * s
-        ww = w * w
-        np.divide(es - 1.0 - p[2], w, out=p[4])
-        np.multiply(z, p[4], out=p[5])
-        np.divide((gamma - e) * (1.0 + gamma), ww, out=p[6])
-        np.multiply(z, p[6], out=p[7])
-        np.multiply(z, p[7], out=p[8])
-        np.subtract(r * r - es * s, zz * z * _dphi(u, ww, phi) * em1, out=p[3])
+    es = e * s
+    ww = w * w
+    np.divide(es - 1.0 - p[2], w, out=p[4])
+    np.multiply(z, p[4], out=p[5])
+    np.divide((gamma - e) * (1.0 + gamma), ww, out=p[6])
+    np.multiply(z, p[6], out=p[7])
+    np.multiply(z, p[7], out=p[8])
+    np.subtract(r * r - es * s, zz * z * _dphi(u, ww, phi) * em1, out=p[3])
     return parts
 
 
-def _derivative_means(gamma, z, w, log_w, e, sigma, hessian: bool) -> np.ndarray:
-    """Mean gradient of ``gev_loglik3`` over each row of ``z``, then, if ``hessian``,
-    the mean Hessian entries gg, gm, gs, mm, ms, ss: (rows, 3 or 9).  The means
+def _derivative_means(gamma, z, w, log_w, e, sigma) -> np.ndarray:
+    """Mean gradient of ``gev_loglik3`` over each row of ``z``, then the mean
+    Hessian entries gg, gm, gs, mm, ms, ss: (rows, 9).  The means
     S_j of ``_partials`` are row sums (numpy's pairwise sum) over n, and sigma
     (one, or a column) enters only then: gradient (S_0, -S_1/sigma, -(1 + S_2)/sigma),
     Hessian S_3, -S_4/sigma, -S_5/sigma, S_6/sigma^2, (S_1 + S_7)/sigma^2,
     (1 + 2 S_2 + S_8)/sigma^2: each mean over (-sigma)^_SIGMA_POWERS."""
-    means = np.add.reduce(_partials(gamma, z, w, log_w, e, hessian), axis=-1) / z.shape[1]
-    if hessian:  # S_1 + S_7 and (S_2 + S_8) + (1 + S_2)
-        means[:, 7:] += means[:, 1:3]
-        means[:, 8] += 1.0 + means[:, 2]
+    means = np.add.reduce(_partials(gamma, z, w, log_w, e), axis=-1) / z.shape[1]
+    means[:, 7:] += means[:, 1:3]  # S_1 + S_7 and (S_2 + S_8) + (1 + S_2)
+    means[:, 8] += 1.0 + means[:, 2]
     means[:, 2] += 1.0
-    return means / (-sigma) ** _SIGMA_POWERS[:means.shape[1]]
+    return means / (-sigma) ** _SIGMA_POWERS
 
 
-def _nonempty(x: np.ndarray) -> np.ndarray:
-    """``x`` if it holds a value; the one-series functions refuse an empty series."""
+def check_finite(values: np.ndarray, where: str = "") -> None:
+    """Refuse NaN and infinite values with a count of each; errors start with ``where``."""
+    if not np.all(np.isfinite(values)):
+        n_nan = int(np.count_nonzero(np.isnan(values)))
+        n_inf = int(np.count_nonzero(np.isinf(values)))
+        prefix = f"{where}: " if where else ""
+        raise ValueError(
+            f"{prefix}{n_nan} NaN and {n_inf} infinite values among {values.size} observations"
+        )
+
+
+def _series(values, name: str) -> np.ndarray:
+    """``values`` as the one float series that function ``name`` takes: 1-d and
+    not empty, with NaN refused by ``check_finite``; +-inf pass, to be scored
+    -inf or refused by the caller."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name} takes one series, got {x.ndim}-d input")
     if not x.size:
         raise ValueError("empty series")
+    if np.isnan(x).any():
+        check_finite(x)
     return x
 
 
@@ -292,7 +308,7 @@ def gev_loglik_gradient(params: GevParams, x) -> np.ndarray:
     likelihood is not differentiable.
     """
     x = np.asarray(x, dtype=float)
-    d_gamma, d_z, zd_z = _partials(*_interior(params, np.atleast_1d(x)), hessian=False)[0]
+    d_gamma, d_z, zd_z = _partials(*_interior(params, np.atleast_1d(x)))[0, :3]
     out = np.stack([d_gamma, -d_z / params.sigma, -(1.0 + zd_z) / params.sigma], axis=-1)
     return out[0] if x.ndim == 0 else out
 
@@ -303,8 +319,8 @@ def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
     The one-row call of the fit's derivative kernel; its gradient is
     ``sample_loglik_gradient``.  Raises where ``gev_loglik_gradient`` does.
     """
-    x = _nonempty(np.atleast_1d(np.asarray(x, dtype=float)))
-    return _split_means(_derivative_means(*_interior(params, x), params.sigma, True)[0])
+    x = _series(x, "gev_loglik_grad_hess")
+    return _split_means(_derivative_means(*_interior(params, x), params.sigma)[0])
 
 
 @_elementwise

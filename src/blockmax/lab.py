@@ -16,7 +16,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -232,27 +232,14 @@ def _replications(dist, n, constants, seed, stream, cell, reps, draw=None):
         yield maxima, normalize(maxima, constants)
 
 
-def _cells(
-    dist: ReferenceDistribution,
-    n_grid: Sequence[int],
-    rule: GrowthRule,
-    replications: int,
-    seed: int,
-    stream: int,
-    draw: Optional[Callable[..., np.ndarray]] = None,
-) -> Iterator[tuple[int, NormalizingConstants, Iterator]]:
-    """The Monte Carlo cell loop of every check: ``(n, constants, reps)`` per grid point.
-
-    ``constants`` are exact for m = rule(n); ``reps`` yields the cell's
-    replications 0 .. ``replications`` - 1 from ``_replications``, which
-    draws nothing before it is read.
-    """
+def _cells(dist: ReferenceDistribution, n_grid: Sequence[int], rule: GrowthRule,
+           replications: int) -> list[tuple[int, NormalizingConstants]]:
+    """The Monte Carlo grid of every check: ``(n, constants)`` per grid point,
+    with ``constants`` exact for m = rule(n); cell k's replications come from
+    ``_replications`` with ``cell=k``."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    for cell, n in enumerate(n_grid):
-        constants = norm_constants(dist, rule.block_length(int(n)))
-        yield int(n), constants, _replications(dist, int(n), constants, seed, stream, cell,
-                                               range(replications), draw)
+    return [(int(n), norm_constants(dist, rule.block_length(int(n)))) for n in n_grid]
 
 
 def _error_boxes(rows: Sequence[StudyRow], gamma0: float) -> list[tuple[float, ...]]:
@@ -373,8 +360,7 @@ def run_consistency_study(
     """
     if not dist.gamma0 > -1.0:
         raise ValueError("study requires an index above -1")
-    cells = [(n, constants) for n, constants, _ in
-             _cells(dist, n_grid, growth, replications, seed, 0)]
+    cells = _cells(dist, n_grid, growth, replications)
     tasks = []
     for cell, (n, _) in enumerate(cells):
         size = max(1, BLOCK_VALUES // n)
@@ -444,7 +430,8 @@ def check_crucial_lemma(
     target = expected_loglik(dist.gamma0)
     truth = GevParams(dist.gamma0, 0.0, 1.0)
     out: list[CrucialLemmaRow] = []
-    for n, constants, reps in _cells(dist, n_grid, growth, replications, seed, 1):
+    for cell, (n, constants) in enumerate(_cells(dist, n_grid, growth, replications)):
+        reps = _replications(dist, n, constants, seed, 1, cell, range(replications))
         values = [empirical_mean_loglik(normalized, truth) for _, normalized in reps]
         gaps = [abs(v - target) if math.isfinite(v) else math.inf for v in values]
         out.append(CrucialLemmaRow(
@@ -509,11 +496,14 @@ def check_slow_growth_obstruction(
     problems = _obstruction_rule_problems(slow, fast, "slow", "fast")
     if problems:
         raise ValueError("; ".join(problems))
-    columns = [[(constants.m,
-                 float(np.median([float(np.min(normalized)) for _, normalized in reps])))
-                for _, constants, reps in _cells(dist, n_grid, rule, replications, seed, stream,
-                                                 sample_min)]
-               for stream, rule in ((2, slow), (3, fast))]
+    columns = []
+    for stream, rule in ((2, slow), (3, fast)):
+        columns.append([])
+        for cell, (n, constants) in enumerate(_cells(dist, n_grid, rule, replications)):
+            reps = _replications(dist, n, constants, seed, stream, cell, range(replications),
+                                 sample_min)
+            minima = [float(np.min(normalized)) for _, normalized in reps]
+            columns[-1].append((constants.m, float(np.median(minima))))
     return [ObstructionRow(n=int(n), m_slow=m_slow, median_min_slow=slow_min,
                            m_fast=m_fast, median_min_fast=fast_min)
             for n, (m_slow, slow_min), (m_fast, fast_min) in zip(n_grid, *columns)]

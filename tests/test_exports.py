@@ -62,3 +62,17 @@ def test_cli_imports_no_private_package_name():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_one_series_rule_lives_in_one_gate():
+    """What counts as one series is decided in ``gev._series`` alone: its two
+    messages are spelled nowhere else in the package, docstrings included."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(node, 'name', '')}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    found += [(phrase, owner) for phrase in ("takes one series", "empty series")
+                              if phrase in sub.value]
+    assert sorted(found) == [("empty series", "gev._series"), ("takes one series", "gev._series")]

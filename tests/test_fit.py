@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import blockmax
 from blockmax import (
     FitResult,
     GevParams,
@@ -43,11 +45,26 @@ class TestSampleLoglik:
     def test_infeasible_observation(self):
         assert sample_loglik(GevParams(1.0, 0.0, 1.0), [0.5, -2.0]) == -math.inf
 
-    @pytest.mark.parametrize("one_series", [sample_loglik, feasibility_margin, numeric_hessian,
-                                            sample_loglik_gradient, gev_loglik_grad_hess])
-    def test_empty_series_refused(self, one_series):
-        with pytest.raises(ValueError, match="^empty series$"):  # no RuntimeWarning first
-            one_series(GevParams(0.5, 0.0, 1.0), [])
+    @pytest.mark.parametrize("name", [
+        "sample_loglik", "is_feasible", "empirical_mean_loglik", "ks_distance",
+        "feasibility_margin", "numeric_hessian", "sample_loglik_gradient",
+        "gev_loglik_grad_hess", "pwm_init", "block_maxima"])
+    def test_empty_series_refused(self, name):
+        # every one-series function refuses an empty series, and anything else
+        # that is not one series of numbers, through one gate that names it;
+        # no RuntimeWarning first
+        theta = GevParams(0.5, 0.0, 1.0)
+        call = {"empirical_mean_loglik": lambda f, x: f(x, theta),
+                "ks_distance": lambda f, x: f(x, 0.5),
+                "pwm_init": lambda f, x: f(x),
+                "block_maxima": lambda f, x: f(x, 2)}.get(name, lambda f, x: f(theta, x))
+        for series, message in [
+                ([], "empty series"),
+                (np.arange(1, 13).reshape(3, 4), f"{name} takes one series, got 2-d input"),
+                (1.5, f"{name} takes one series, got 0-d input"),
+                ([1.0, math.nan, 2.0, 3.0], "1 NaN and 0 infinite values among 4 observations")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(getattr(blockmax, name), series)
 
     def test_matches_normalized_likelihood(self):
         # L_n(g,mu,sigma) = normalized L_n(g,(mu-b)/a,sigma/a) - log(a)
@@ -231,14 +248,14 @@ class TestFitMle:
         assert isinstance(res.converged, bool)
 
     def test_nan_gradient_is_reported(self, monkeypatch):
-        # the verdict's gradient is the one _loglik_rows call without the Hessian
+        # the verdict's gradient is the one _loglik_rows call with the scalar floor -inf
         data = gev_sample(GevParams(0.5, 0.0, 1.0), 200, seed=70)
         verdicts = []
         evaluate = fit_module._loglik_rows
 
-        def nan_gradient(theta, X, rows=None, floor=None, hessian=True):
-            values, means = evaluate(theta, X, rows, floor, hessian)
-            if floor is not None and not hessian:
+        def nan_gradient(theta, X, rows=None, floor=None):
+            values, means = evaluate(theta, X, rows, floor)
+            if np.ndim(floor) == 0 and floor == -np.inf:
                 verdicts.append(len(theta))
                 means[:] = np.nan
             return values, means
