@@ -8,12 +8,10 @@ from .gev import (
     gev_cdf,
     gev_loglik,
     gev_loglik3,
-    gev_loglik_grad_hess,
     gev_loglik_gradient,
     gev_loglik_max,
     gev_mode,
     gev_quantile,
-    gev_sample,
     params_support,
     support_interval,
 )
@@ -26,6 +24,7 @@ from .distributions import (
     exponential,
     from_spec,
     gev_reference,
+    gev_sample,
     norm_constants,
     pareto,
     quantile_matched_constants,
@@ -43,6 +42,7 @@ from .fit import (
     FitResult,
     feasibility_margin,
     fit_mle,
+    gev_loglik_grad_hess,
     is_feasible,
     kl_divergence,
     numeric_hessian,

@@ -1,4 +1,9 @@
-"""Block maxima extraction, normalization and empirical-measure functionals."""
+"""Block maxima extraction, normalization and empirical-measure functionals.
+
+``empirical_mean_loglik`` sums ``gev_loglik3`` over the sorted points
+itself, outside the fit's row kernel, so that every log-likelihood the
+lab evaluates passes the traced ``blocks.gev_loglik3`` binding.
+"""
 from __future__ import annotations
 
 from pathlib import Path
@@ -49,20 +54,14 @@ def ks_distance(values, gamma: float) -> float:
     return float(max(np.max(steps_hi - f), np.max(f - steps_lo)))
 
 
-def _mean_loglik(params: GevParams, x: np.ndarray) -> float:
-    """Mean of ``gev_loglik3`` over the series ``x`` (one that passed ``_series``),
-    behind ``empirical_mean_loglik`` and ``fit.sample_loglik``; -inf if any point
-    scores -inf (an infinite point does) or the sum overflows."""
-    ll = gev_loglik3(params, x)
-    with np.errstate(over="ignore"):
-        return float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
-
-
 def empirical_mean_loglik(values, params: GevParams) -> float:
     """Mean log-likelihood over the empirical measure of ``values``; -inf if
-    any point is outside the support of ``params``.  The sum runs in sorted
-    order, so the result does not depend on the order of the points."""
-    return _mean_loglik(params, np.sort(_series(values, "empirical_mean_loglik")))
+    any point is outside the support of ``params``, is infinite, or the sum
+    overflows.  The sum runs in sorted order, so the result does not depend
+    on the order of the points."""
+    ll = gev_loglik3(params, np.sort(_series(values, "empirical_mean_loglik")))
+    with np.errstate(over="ignore"):
+        return float(ll.sum() / ll.size)  # np.mean's bits, without its call overhead
 
 
 def read_values(path) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gev import gev_cdf, gev_quantile, gev_upper_quantile, support_interval
+from .gev import GevParams, gev_cdf, gev_quantile, gev_upper_quantile, support_interval
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,16 @@ def gev_reference(gamma: float) -> ReferenceDistribution:
         gumbel_scale=None if gamma else (lambda m: 1.0),
         spec=f"gev:gamma={gamma:g}",
     )
+
+
+def gev_sample(params: GevParams, n: int, seed) -> np.ndarray:
+    """n i.i.d. draws of the GEV law ``params``: ``sample_iid`` of the exact
+    member ``gev_reference(params.gamma)``, shifted by mu and scaled by sigma.
+
+    Deterministic for a given (seed, n, params); ``seed`` may be an int,
+    a SeedSequence or a Generator.
+    """
+    return params.mu + params.sigma * sample_iid(gev_reference(params.gamma), n, seed)
 
 
 def catalog() -> list[ReferenceDistribution]:

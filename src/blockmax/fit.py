@@ -16,7 +16,11 @@ one array pass per step, and a row leaves the ascent when it converges,
 stalls or reaches ``MAX_ITERS``.  One kernel, ``_loglik_rows``, computes
 every log-likelihood of the fit, and the gradient and Hessian at an
 accepted point in the same pass, from ``gev._log_density`` and
-``gev._derivative_means`` as the one-series functions do.  Rows
+``gev._derivative_means``; ``sample_loglik``, ``is_feasible``,
+``sample_loglik_gradient`` and ``gev_loglik_grad_hess`` are its one-row
+calls.  LAPACK's eigen-solvers see only the Hessians that are all finite
+(inf and NaN are what it refuses); a row whose Hessian is not takes the
+gradient step, or fails the verdict's Hessian test.  Rows
 never mix: each row's sums run in the order they would on their own, so
 every row's ``FitResult`` is bit for bit the one-series fit of that row.
 No kernel array holds more than ``BLOCK_VALUES`` values (or one row,
@@ -32,15 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _mean_loglik
 from .gev import (
     EULER_GAMMA,
     GevParams,
     _derivative_means,
-    _interior,
     _log_density,
     _series,
-    _split_means,
     _tail,
     check_finite,
     gev_loglik3,
@@ -84,29 +85,55 @@ class FitResult:
             raise ValueError(f"shape estimate must be > -1, got {self.theta_hat.gamma}")
 
 
+def _one_row(theta: GevParams, series, name: str, means: bool = False):
+    """``_loglik_rows`` on ``series`` as the one-row matrix, gated as function
+    ``name``: the mean log-likelihood, or with ``means`` the nine derivative
+    means, refused where that mean is not finite."""
+    values, found = _loglik_rows(theta.as_array()[None], _series(series, name)[None],
+                                 floor=-np.inf if means else None)
+    if not means:
+        return float(values[0])
+    if not math.isfinite(values[0]):
+        raise ValueError("gradient undefined: the mean log-likelihood is not finite here")
+    return found[0]
+
+
 def sample_loglik(theta: GevParams, series) -> float:
     """Mean log-likelihood over the observations; -inf if any is infeasible."""
-    return _mean_loglik(theta, _series(series, "sample_loglik"))
+    return _one_row(theta, series, "sample_loglik")
 
 
 def sample_loglik_gradient(theta: GevParams, series) -> np.ndarray:
     """Mean analytic gradient of the log-likelihood, shape (3,); bit for bit
-    the gradient ``fit_mle``'s verdict judges (one row of the same kernel)."""
-    x = _series(series, "sample_loglik_gradient")
-    return _derivative_means(*_interior(theta, x), theta.sigma)[0, :3]
+    the gradient ``fit_mle``'s verdict judges.  Raises where ``sample_loglik``
+    is not finite: at an infeasible or infinite point, or where
+    (1 + gamma*z)^(-1/gamma) overflows."""
+    return _one_row(theta, series, "sample_loglik_gradient", means=True)[:3]
+
+
+def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """Mean gradient (3,) and mean Hessian (3, 3) of ``gev_loglik3`` over ``x``;
+    raises where ``sample_loglik_gradient`` does."""
+    return _split_means(_one_row(params, x, "gev_loglik_grad_hess", means=True))
+
+
+def _split_means(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean gradient (..., 3) and mean Hessian (..., 3, 3) from the nine
+    means of ``_derivative_means`` along the last axis."""
+    hess = means[..., [3, 4, 5, 4, 6, 7, 5, 7, 8]]
+    return means[..., :3], hess.reshape(hess.shape[:-1] + (3, 3))
 
 
 def _loglik_rows(theta, X, rows=None, floor=None):
     """Mean log-likelihood of row ``rows[k]`` of ``X`` (row k without ``rows``)
-    at ``theta[k]``, for each k.
+    at ``theta[k]``, for each k; -inf where an observation is infeasible.
 
-    Bit for bit ``sample_loglik``, -inf where an observation is infeasible.
     With ``floor`` (a scalar or one per k), the same pass also returns the
     nine derivative means of ``gev._derivative_means`` for every k whose
-    value is not below its floor; ``gev_loglik_grad_hess`` and
-    ``sample_loglik_gradient`` are its one-row calls.  Other entries are
-    NaN.  Rows go through in chunks of ``BLOCK_VALUES // (n * width)`` (at
-    least one), where width is the number of values per observation (1, or
+    value is not below its floor.  Other entries are NaN.  ``sample_loglik``,
+    ``is_feasible``, ``sample_loglik_gradient`` and ``gev_loglik_grad_hess``
+    are its one-row calls (``_one_row``).  Rows go through in chunks of
+    ``BLOCK_VALUES // (n * width)`` (at least one), where width is the number of values per observation (1, or
     9 with ``floor``), so no array holds more than ``BLOCK_VALUES`` values
     unless one row does.
     """
@@ -158,7 +185,7 @@ def feasibility_margin(theta: GevParams, series) -> float:
 
 def is_feasible(theta: GevParams, series) -> bool:
     """True exactly where ``sample_loglik`` is finite."""
-    return math.isfinite(_mean_loglik(theta, _series(series, "is_feasible")))
+    return math.isfinite(_one_row(theta, series, "is_feasible"))
 
 
 def _repair(theta, X):
@@ -244,36 +271,17 @@ def _norms(v):
         return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _stacked(decompose, mats):
-    """``decompose`` (``np.linalg.eigh`` or ``eigvalsh``) of a stack of matrices,
-    as consecutive (rows, result) parts: one part for the whole stack, or,
-    should LAPACK fail on a matrix, one part per matrix, with result None
-    for each failing one."""
-    try:
-        return [(slice(0, len(mats)), decompose(mats))]
-    except np.linalg.LinAlgError:
-        parts = []
-        for i in range(len(mats)):
-            try:
-                parts.append((slice(i, i + 1), decompose(mats[i:i + 1])))
-            except np.linalg.LinAlgError:
-                parts.append((slice(i, i + 1), None))
-        return parts
-
-
 def _ascent_steps(g, hess):
     """Saddle-free Newton steps on |H| (eigenvalue magnitudes, floored), so they
-    ascend even away from a maximum; the gradient where H has no usable
-    decomposition.  Each step is at most 1 long."""
+    ascend even away from a maximum; the gradient where H is not finite (the
+    one input LAPACK refuses) or the step is not.  Each step is at most 1 long."""
     steps = g.copy()
-    for part, found in _stacked(np.linalg.eigh, hess):
-        if found is None:
-            continue
-        lam, vecs = found
-        mag = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam), axis=1, keepdims=True))
-        rot = (np.swapaxes(vecs, 1, 2) @ g[part, :, None])[:, :, 0]
-        with np.errstate(all="ignore"):
-            steps[part] = (vecs @ (rot / mag)[:, :, None])[:, :, 0]
+    finite = np.isfinite(hess).all(axis=(1, 2))
+    lam, vecs = np.linalg.eigh(hess[finite])
+    mag = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam), axis=1, keepdims=True))
+    rot = (np.swapaxes(vecs, 1, 2) @ g[finite, :, None])[:, :, 0]
+    with np.errstate(all="ignore"):
+        steps[finite] = (vecs @ (rot / mag)[:, :, None])[:, :, 0]
     bad = ~np.isfinite(steps).all(axis=1)
     steps[bad] = g[bad]
     return steps / np.fmax(1.0, _norms(steps))[:, None]
@@ -451,9 +459,9 @@ def fit_mle(series):
     judged = np.flatnonzero(np.isfinite(loglik))
     if judged.size:
         hessians = _stencil_hessians(theta_x[judged], X, judged, loglik[judged])
-        for part, eigs in _stacked(np.linalg.eigvalsh, hessians):
-            if eigs is not None:
-                negdef[judged[part]] = np.isfinite(eigs).all(axis=1) & (eigs.max(axis=1) < 0.0)
+        finite = np.isfinite(hessians).all(axis=(1, 2))  # LAPACK refuses the others
+        eigs = np.linalg.eigvalsh(hessians[finite])
+        negdef[judged[finite]] = np.isfinite(eigs).all(axis=1) & (eigs.max(axis=1) < 0.0)
 
     results = []
     for row, theta_hat in enumerate(thetas):

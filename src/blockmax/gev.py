@@ -7,7 +7,11 @@ raising, so optimizers can treat infeasible points uniformly.
 
 Each piece is formed once, for one shape or one shape per row: w and e
 in ``_tail`` (the CDF and margins read them), the log-density in
-``_log_density``, every mean gradient and Hessian in ``_derivative_means``.
+``_log_density``, every mean gradient and Hessian in ``_derivative_means``,
+which only the fit's row kernel (``fit._loglik_rows``) calls.  Means over
+a series and GEV draws live elsewhere: ``fit.sample_loglik`` and its
+kin are rows of that kernel, and ``distributions.gev_sample`` draws
+through ``sample_iid``.
 """
 from __future__ import annotations
 
@@ -164,20 +168,6 @@ def _from_gumbel(gamma: float, w: np.ndarray) -> np.ndarray:
         return np.expm1(gamma * w) / gamma
 
 
-def gev_sample(params: GevParams, n: int, seed) -> np.ndarray:
-    """Draw ``n`` i.i.d. GEV variates via inverse-transform sampling.
-
-    Deterministic for a given (seed, n, params); ``seed`` may be an int,
-    a SeedSequence or a Generator.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    u[u == 0.0] = np.nextafter(0.0, 1.0)
-    return params.mu + params.sigma * gev_quantile(params.gamma, u)
-
-
 @_elementwise
 def gev_loglik(gamma: float, x) -> float | np.ndarray:
     """Log-density of the standardized GEV; -inf outside the support."""
@@ -282,45 +272,25 @@ def _series(values, name: str) -> np.ndarray:
     return x
 
 
-def _interior(params: GevParams, x: np.ndarray):
-    """``(gamma, z, w, log_w, e)`` of ``_partials`` for 1-d ``x`` as one row;
-    raises if a point sits on or outside the support boundary."""
-    z = ((x - params.mu) / params.sigma)[None]
+def gev_loglik_gradient(params: GevParams, x) -> np.ndarray:
+    """Analytic gradient of ``gev_loglik3`` in (gamma, mu, sigma) at each point.
+
+    Returns shape (3,) for a scalar ``x`` and (n, 3) for one series, which
+    passes the one-series check.  Raises on infinite points and on points
+    on or outside the support boundary, where the likelihood is not
+    differentiable.
+    """
+    x = np.asarray(x, dtype=float)
+    row = _series(x.reshape(1) if x.ndim == 0 else x, "gev_loglik_gradient")
+    check_finite(row)
+    z = ((row - params.mu) / params.sigma)[None]
     with np.errstate(all="ignore"):
         w, log_w, _, e = _tail(params.gamma, z)
     if np.any(w <= 0):
         raise ValueError("gradient undefined on or outside the support boundary")
-    return params.gamma, z, w, log_w, e
-
-
-def _split_means(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mean gradient (..., 3) and mean Hessian (..., 3, 3) from the nine
-    means of ``_derivative_means`` along the last axis."""
-    hess = means[..., [3, 4, 5, 4, 6, 7, 5, 7, 8]]
-    return means[..., :3], hess.reshape(hess.shape[:-1] + (3, 3))
-
-
-def gev_loglik_gradient(params: GevParams, x) -> np.ndarray:
-    """Analytic gradient of ``gev_loglik3`` in (gamma, mu, sigma).
-
-    Returns shape (3,) for scalar ``x`` and (n, 3) for a vector.  Raises
-    if any point sits on or outside the support boundary, where the
-    likelihood is not differentiable.
-    """
-    x = np.asarray(x, dtype=float)
-    d_gamma, d_z, zd_z = _partials(*_interior(params, np.atleast_1d(x)))[0, :3]
+    d_gamma, d_z, zd_z = _partials(params.gamma, z, w, log_w, e)[0, :3]
     out = np.stack([d_gamma, -d_z / params.sigma, -(1.0 + zd_z) / params.sigma], axis=-1)
     return out[0] if x.ndim == 0 else out
-
-
-def gev_loglik_grad_hess(params: GevParams, x) -> tuple[np.ndarray, np.ndarray]:
-    """Mean gradient (3,) and mean Hessian (3, 3) of ``gev_loglik3`` over ``x``.
-
-    The one-row call of the fit's derivative kernel; its gradient is
-    ``sample_loglik_gradient``.  Raises where ``gev_loglik_gradient`` does.
-    """
-    x = _series(x, "gev_loglik_grad_hess")
-    return _split_means(_derivative_means(*_interior(params, x), params.sigma)[0])
 
 
 @_elementwise

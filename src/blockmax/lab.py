@@ -366,29 +366,21 @@ def run_consistency_study(
         size = max(1, BLOCK_VALUES // n)
         tasks += [(cell, first, min(size, replications - first))
                   for first in range(0, replications, size)]
-    rows: list[StudyRow] = []
-    summaries: list[StudySummary] = []
-    cell_rows: list[StudyRow] = []
     work = functools.partial(_study_block, dist, seed, cells)
     with contextlib.closing(_pooled(work, tasks)) as blocks:
-        for block_rows in blocks:
-            cell_rows += block_rows
-            if len(cell_rows) < replications:
-                continue
-            rows += cell_rows
-            summaries.append(StudySummary(
-                cell_rows[0].n, cell_rows[0].m,
-                *(box[1:4] for box in _error_boxes(cell_rows, dist.gamma0)),
-                frac_converged=sum(r.converged for r in cell_rows) / replications,
-                median_ks=float(np.median([r.ks for r in cell_rows])),
-            ))
-            cell_rows = []
+        rows = [row for block_rows in blocks for row in block_rows]
+    by_cell = [rows[k:k + replications] for k in range(0, len(rows), replications)]
     return StudyReport(
         dist_spec=dist.spec or dist.name,
         gamma0=dist.gamma0,
         growth=growth.describe(),
         rows=rows,
-        summary=summaries,
+        summary=[StudySummary(
+            cell[0].n, cell[0].m,
+            *(box[1:4] for box in _error_boxes(cell, dist.gamma0)),
+            frac_converged=sum(r.converged for r in cell) / replications,
+            median_ks=float(np.median([r.ks for r in cell])),
+        ) for cell in by_cell],
     )
 
 

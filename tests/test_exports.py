@@ -76,3 +76,24 @@ def test_one_series_rule_lives_in_one_gate():
                     found += [(phrase, owner) for phrase in ("takes one series", "empty series")
                               if phrase in sub.value]
     assert sorted(found) == [("empty series", "gev._series"), ("takes one series", "gev._series")]
+
+
+def test_derivative_means_have_one_caller():
+    """Mean gradients and Hessians come from the fit's row kernel alone:
+    ``gev._derivative_means`` is called only inside ``fit._loglik_rows``,
+    and ``fit.py`` imports nothing from ``blocks``, so no second path
+    computes a mean over a series for the fit's one-series functions."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [f"{path.stem}.{getattr(node, 'name', '')}" for sub in ast.walk(node)
+                        if isinstance(sub, ast.Call)
+                        and getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                        == "_derivative_means"]
+    assert callers == ["fit._loglik_rows"]
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "fit.py").read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [f"{getattr(node, 'module', None) or ''}.{alias.name}".split(".")
+                         for alias in node.names]
+    assert [parts for parts in imported if "blocks" in parts] == []

@@ -308,6 +308,33 @@ class TestBatchedFit:
                    for r in lone) == 2
         assert any(r.converged for r in lone) and not all(r.converged for r in lone)
 
+    def test_non_finite_start_hessian_takes_the_gradient_step(self, monkeypatch):
+        # row 3 starts with a NaN Hessian, which LAPACK would refuse: its first
+        # step is the gradient step, and the other rows' eigen-decompositions,
+        # made without it, keep the bits of their lone fits
+        X = _mixed_block()
+        monkeypatch.setattr(fit_module, "MAX_ITERS", 20)
+        lone = [fit_mle(x) for x in X]
+        loglik_rows, ascent_steps = fit_module._loglik_rows, fit_module._ascent_steps
+        seen = []
+
+        def spoiled(theta, Y, rows=None, floor=None):
+            values, means = loglik_rows(theta, Y, rows, floor)
+            if np.ndim(floor) == 0 and floor == -sys.float_info.max and 3 in rows:  # the repair
+                means[list(rows).index(3), 3:] = np.nan
+            return values, means
+
+        def steps(g, hess):
+            seen.append(int(np.count_nonzero(~np.isfinite(hess).all(axis=(1, 2)))))
+            return ascent_steps(g, hess)
+
+        monkeypatch.setattr(fit_module, "_loglik_rows", spoiled)
+        monkeypatch.setattr(fit_module, "_ascent_steps", steps)
+        results = fit_mle(X)
+        assert seen[0] == 1 and sum(seen) == 1
+        assert isinstance(results[3], FitResult)
+        assert results[:3] + results[4:] == lone[:3] + lone[4:]
+
     def test_kernel_is_the_one_series_functions(self):
         # one chunk mixing the Gumbel limit (0 and 1e-9), ordinary shapes, rows
         # where e = w^(-1/gamma) overflows inside the support and an infeasible
@@ -456,6 +483,24 @@ class TestClosedFormHessian:
     def test_boundary_raises(self):
         with pytest.raises(ValueError):
             gev_loglik_grad_hess(GevParams(1.0, 0.0, 1.0), [0.5, -1.0])
+
+    @pytest.mark.parametrize("func", [sample_loglik_gradient, gev_loglik_grad_hess],
+                             ids=["sample_loglik_gradient", "gev_loglik_grad_hess"])
+    @pytest.mark.parametrize("case", ["infinite-point", "e-overflows"])
+    def test_refused_where_the_mean_is_not_finite(self, func, case):
+        # an infinite point, and a point inside the support where
+        # (1 + gamma*z)^(-1/gamma) overflows (test_kernel_is_the_one_series_functions'
+        # fifth row): sample_loglik is -inf, so there is no gradient to give
+        if case == "infinite-point":
+            theta, x = GevParams(0.5, 0.0, 1.0), [1.0, math.inf, 2.0]
+        else:
+            x = gev_sample(GevParams(0.2, 0.0, 1.0), 300, seed=73)
+            theta = GevParams(1e-3, float(np.min(x)) + 6.0, 0.01)
+        assert sample_loglik(theta, x) == -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mean log-likelihood is not finite"):
+                func(theta, x)
 
 
 def _mp_grad_hess(theta, x):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import warnings
 
@@ -226,6 +227,20 @@ class TestGradient:
             gev_loglik_gradient(GevParams(1.0, 0.0, 1.0), -1.0)
         with pytest.raises(ValueError):
             gev_loglik_gradient(GevParams(1.0, 0.0, 1.0), -3.0)
+
+    @pytest.mark.parametrize("x,message", [
+        (np.arange(1.0, 13.0).reshape(3, 4), "gev_loglik_gradient takes one series, got 2-d input"),
+        ([1.0, math.nan, 2.0], "1 NaN and 0 infinite values among 3 observations"),
+        ([1.0, math.inf, 2.0], "0 NaN and 1 infinite values among 3 observations"),
+        ([1.0, -math.inf, 2.0], "0 NaN and 1 infinite values among 3 observations"),
+        (math.inf, "0 NaN and 1 infinite values among 1 observations"),
+    ], ids=["matrix", "nan", "inf", "-inf", "inf-scalar"])
+    def test_not_one_finite_series_refused(self, x, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in (0.5, 0.0, -0.5):  # -inf is outside the support only for gamma > 0
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    gev_loglik_gradient(GevParams(gamma, 0.0, 1.0), x)
 
     def test_tiny_shape_is_continuous_with_gumbel_branch(self):
         theta_zero = GevParams(0.0, 0.0, 1.0)
