@@ -20,13 +20,11 @@ accepted point in the same pass, from ``gev._log_density`` and
 ``sample_loglik_gradient`` and ``gev_loglik_grad_hess`` are its one-row
 calls.  LAPACK's eigen-solvers see only the Hessians that are all finite
 (inf and NaN are what it refuses); a row whose Hessian is not takes the
-gradient step, or fails the verdict's Hessian test.  Rows
-never mix: each row's sums run in the order they would on their own, so
-every row's ``FitResult`` is bit for bit the one-series fit of that row.
-No kernel array holds more than ``BLOCK_VALUES`` values (or one row,
-where a row is longer).  The same constant sizes the blocks of a study:
-``lab.run_consistency_study`` hands each worker ``BLOCK_VALUES // n``
-replications, which it draws and fits in one call here.
+gradient step, or fails the verdict's Hessian test.  Rows never mix: each
+row's sums run in the order they would on their own, so every row's
+``FitResult`` is bit for bit the one-series fit of that row.
+``BLOCK_VALUES`` bounds the kernel's arrays and sizes the blocks of a
+study (``lab.run_consistency_study``).
 """
 from __future__ import annotations
 
@@ -64,7 +62,8 @@ KL_T_MAX = 6.0        # the rule sums over t in [-KL_T_MAX, KL_T_MAX]: 385 nodes
 
 @dataclass(frozen=True, slots=True)
 class FitResult:
-    """Outcome of a local-maximum search.
+    """Outcome of a local-maximum search; one that ends off the feasible region
+    is a boundary failure with ``loglik`` -inf, not an error.
 
     ``converged`` means margin > 1e-6, shape not pinned at the lower bound,
     data-unit gradient norm <= ``GRAD_TOL`` and a negative definite numeric
@@ -130,12 +129,10 @@ def _loglik_rows(theta, X, rows=None, floor=None):
 
     With ``floor`` (a scalar or one per k), the same pass also returns the
     nine derivative means of ``gev._derivative_means`` for every k whose
-    value is not below its floor.  Other entries are NaN.  ``sample_loglik``,
-    ``is_feasible``, ``sample_loglik_gradient`` and ``gev_loglik_grad_hess``
-    are its one-row calls (``_one_row``).  Rows go through in chunks of
-    ``BLOCK_VALUES // (n * width)`` (at least one), where width is the number of values per observation (1, or
-    9 with ``floor``), so no array holds more than ``BLOCK_VALUES`` values
-    unless one row does.
+    value is not below its floor.  Other entries are NaN.  Rows go through in
+    chunks of ``BLOCK_VALUES // (n * width)`` (at least one), width being the
+    values per observation (1, or 9 with ``floor``), so no array holds more
+    than ``BLOCK_VALUES`` values unless one row does.
     """
     n = X.shape[1]
     width = 1 if floor is None else 9
@@ -206,6 +203,7 @@ def _repair(theta, X):
             return theta, values, means
         theta[pending, 0] *= 0.5
         theta[pending, 2] *= 2.0
+    # ends the loop; no series the gate passes is known to get here (see TestTotalFitter)
     where = f"row {pending[0]}: " if len(X) > 1 else ""
     raise ValueError(f"{where}could not repair the starting point into the feasible region")
 
@@ -250,18 +248,18 @@ def _moment_starts(xs):
 
 
 def pwm_init(series) -> GevParams:
-    """Probability-weighted-moment starting point for the optimizer.
+    """Probability-weighted-moment starting point for the optimizer: ``fit_mle``'s
+    start, the repaired moment start of the standardized series, in data units.
+    The series passes the one-series check and ``fit_mle``'s gate."""
+    _, center, scale, Y = _standardized(_series(series, "pwm_init"))
+    theta, _, _ = _repair(_moment_starts(np.sort(Y, axis=1)), Y)
+    return _in_data_units(theta, center, scale)[0]
 
-    Standard sample L-moments with the rational shape approximation; the
-    shape is clamped into a conservative sub-range and the result is
-    repaired into strict feasibility so the search starts finite.  The
-    series passes the one-series check and ``fit_mle``'s input checks.
-    ``fit_mle`` takes the same start on its standardized series, so the two
-    agree up to rounding.
-    """
-    xs = np.sort(_checked_rows(_series(series, "pwm_init")), axis=1)
-    theta, _, _ = _repair(_moment_starts(xs), xs)
-    return GevParams.from_array(theta[0])
+
+def _in_data_units(theta, center, scale) -> list[GevParams]:
+    """Each point of ``theta`` (on y) in the units of x = center + scale * y."""
+    return [GevParams(gamma, c + s * mu, s * sigma) for (gamma, mu, sigma), c, s
+            in zip(theta.tolist(), center.tolist(), scale.tolist())]
 
 
 def _norms(v):
@@ -279,24 +277,28 @@ def _ascent_steps(g, hess):
     finite = np.isfinite(hess).all(axis=(1, 2))
     lam, vecs = np.linalg.eigh(hess[finite])
     mag = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam), axis=1, keepdims=True))
-    rot = (np.swapaxes(vecs, 1, 2) @ g[finite, :, None])[:, :, 0]
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a step left NaN lands outside, so it is never taken
+        rot = (np.swapaxes(vecs, 1, 2) @ g[finite, :, None])[:, :, 0]
         steps[finite] = (vecs @ (rot / mag)[:, :, None])[:, :, 0]
-    bad = ~np.isfinite(steps).all(axis=1)
-    steps[bad] = g[bad]
-    return steps / np.fmax(1.0, _norms(steps))[:, None]
+        bad = ~np.isfinite(steps).all(axis=1)
+        steps[bad] = g[bad]
+        return steps / np.fmax(1.0, _norms(steps))[:, None]
 
 
-def _newton_ascent(theta, current, means, Y, units):
+def _newton_ascent(theta, current, means, Y, scale):
     """Saddle-free Newton ascent on the mean log-likelihood of each row of ``Y``
     with feasibility backtracking, for at most ``MAX_ITERS`` steps.
 
     ``theta`` holds the starts, ``current`` their values and ``means`` the
-    derivative means there.  ``units`` maps each row's gradient on ``Y``
-    to data units, and a row stops once that norm is a tenth of
-    ``GRAD_TOL``: a decade below the verdict's bound, because the verdict's
-    gradient on x rounds differently.  All rows still in play take their
-    k-th step together.  Returns (theta, iterations, stall reasons)."""
+    derivative means there.  Row k of ``Y`` is its series over ``scale[k]``,
+    which maps its gradient to data units, and a row stops once that norm
+    is a tenth of ``GRAD_TOL``: a decade below the verdict's bound, because
+    the verdict's gradient on x rounds differently.  A point is outside unless
+    sigma * scale > 0.  All rows still in play take their k-th step together.
+    Returns (theta, iterations, stall reasons)."""
+    # d/dmu and d/dsigma in data units are 1/scale times those on y (a Python
+    # float product that overflows is inf, quietly, and so not near)
+    units = (1.0 / scale).tolist()
     theta, current = theta.copy(), current.copy()
     g, hess = _split_means(means)
     g = g.copy()
@@ -304,8 +306,8 @@ def _newton_ascent(theta, current, means, Y, units):
     stalls = ["Newton iteration limit reached"] * len(theta)
     active = np.arange(len(theta))
     for it in range(MAX_ITERS):
-        near = np.array([math.hypot(*v) <= 0.1 * GRAD_TOL
-                         for v in (units[active] * g[active]).tolist()], dtype=bool)
+        near = np.array([math.hypot(a, b * units[r], c * units[r]) <= 0.1 * GRAD_TOL
+                         for r, (a, b, c) in zip(active.tolist(), g[active].tolist())], dtype=bool)
         for row in active[near]:
             iterations[row], stalls[row] = it, ""
         active = active[~near]
@@ -318,11 +320,13 @@ def _newton_ascent(theta, current, means, Y, units):
         # value is within noise as long as it halves the gradient norm.
         noise = 1e-12 * (1.0 + np.abs(current[active]))
         todo = np.arange(active.size)  # positions in ``active`` still backtracking
-        scale = 1.0
-        for _ in range(40):
+        for k in range(40):
             rows = active[todo]
-            cand = theta[rows] + scale * step[todo]
-            inside = (GAMMA_FLOOR < cand[:, 0]) & (cand[:, 0] <= GAMMA_CAP) & (cand[:, 2] > 0)
+            cand = theta[rows] + 0.5 ** k * step[todo]
+            inside = ((GAMMA_FLOOR < cand[:, 0]) & (cand[:, 0] <= GAMMA_CAP)
+                      & (cand[:, 2] * scale[rows] > 0))
+            if not inside.any():  # nothing to score at this length (a row pinned at a bound)
+                continue
             rows, cand = rows[inside], cand[inside]
             floor = current[rows] - noise[todo[inside]]
             vals, found = _loglik_rows(cand, Y, rows, floor)
@@ -341,7 +345,6 @@ def _newton_ascent(theta, current, means, Y, units):
             todo = todo[left]
             if not todo.size:
                 break
-            scale *= 0.5
         else:
             for row in active[todo]:
                 iterations[row], stalls[row] = it + 1, "plateau: no ascent step found"
@@ -360,13 +363,13 @@ def _stencil_hessians(theta, X, rows, f0):
     for p, (i, j) in enumerate(pairs):  # ++, +-, -+, --
         signs[6 + 4 * p:10 + 4 * p, i] = (1.0, 1.0, -1.0, -1.0)
         signs[6 + 4 * p:10 + 4 * p, j] = (1.0, -1.0, 1.0, -1.0)
-    points = (theta[:, None, :] + signs * h[:, None, :]).reshape(-1, 3)
-    f = np.full(len(points), -np.inf)
-    ok = points[:, 2] > 0
-    f[ok], _ = _loglik_rows(points[ok], X, np.repeat(rows, 18)[ok])
-    f = f.reshape(-1, 18)
     out = np.empty((len(theta), 3, 3))
-    with np.errstate(all="ignore"):  # -inf points give inf or nan entries, quietly
+    with np.errstate(all="ignore"):  # points past the float range or at -inf: inf/nan, quietly
+        points = (theta[:, None, :] + signs * h[:, None, :]).reshape(-1, 3)
+        f = np.full(len(points), -np.inf)
+        ok = points[:, 2] > 0
+        f[ok], _ = _loglik_rows(points[ok], X, np.repeat(rows, 18)[ok])
+        f = f.reshape(-1, 18)
         for i in range(3):
             out[:, i, i] = (f[:, 2 * i] - 2.0 * f0 + f[:, 2 * i + 1]) / h[:, i] / h[:, i]
         for p, (i, j) in enumerate(pairs):
@@ -389,15 +392,17 @@ def numeric_hessian(theta: GevParams, series) -> np.ndarray:
     return _stencil_hessians(vec, x, rows, f0)[0]
 
 
-def _checked_rows(x: np.ndarray) -> np.ndarray:
-    """The series of ``x`` as rows of a matrix, one series being the one-row
-    matrix; bad input is refused before any row is fitted, and a matrix's
-    errors name the row."""
+def _standardized(x: np.ndarray):
+    """The gate of ``fit_mle`` and ``pwm_init``: X, the series of ``x`` as rows (one
+    series is the one-row matrix), each row's median and scale (its IQR, or its
+    spread max - min where that is 0), and Y = (X - center) / scale.  Errors
+    in a matrix name the row.  A row is refused where its scale is subnormal or
+    n * (spread / scale)^2, a bound on the squares the moment start sums, overflows."""
     if x.ndim > 2:
         raise ValueError(f"expected one series or a matrix of series, one per row; "
                          f"got {x.ndim}-d input")
     matrix = x.ndim == 2
-    X = x if matrix else x.reshape(1, -1)
+    X = np.ascontiguousarray(x if matrix else x.reshape(1, -1))
     if not len(X):
         raise ValueError("empty matrix: no series to fit")
     if X.shape[1] < 3:
@@ -408,11 +413,20 @@ def _checked_rows(x: np.ndarray) -> np.ndarray:
     if not finite.all():
         row = int(np.argmin(finite))
         check_finite(X[row], f"row {row}" if matrix else "")
-    flat = X.min(axis=1) == X.max(axis=1)
-    if flat.any():
-        where = f"row {int(np.argmax(flat))}: " if matrix else ""
-        raise ValueError(f"{where}degenerate data: all observations equal")
-    return np.ascontiguousarray(X)
+    lo, hi = X.min(axis=1), X.max(axis=1)
+    with np.errstate(all="ignore"):  # a row refused below may overflow on its way there
+        q1, center, q3 = np.percentile(X, (25.0, 50.0, 75.0), axis=1)
+        spread = hi - lo
+        scale = np.where(q3 > q1, q3 - q1, spread)
+        fits = (scale >= sys.float_info.min) & np.isfinite((spread / scale) ** 2 * X.shape[1])
+    if not fits.all():
+        row = int(np.argmin(fits))
+        where = f"row {row}: " if matrix else ""
+        if lo[row] == hi[row]:
+            raise ValueError(f"{where}degenerate data: all observations equal")
+        raise ValueError(f"{where}cannot standardize: spread {spread[row].item()!r} over scale "
+                         f"{scale[row].item()!r} (needs a normal scale, finite n*(spread/scale)^2)")
+    return X, center, scale, (X - center[:, None]) / scale[:, None]
 
 
 def fit_mle(series):
@@ -425,33 +439,23 @@ def fit_mle(series):
     region (or with shape outside (-1, 10]) score -inf and are never
     accepted.
 
+    It returns, or raises the gate's ``ValueError`` (``_standardized``); at small
+    n, where no local maximum need exist, an ascent may end past the boundary.
+
     ``series`` is one series, which gives one ``FitResult``, or a matrix
     with one series per row, which gives a list with one ``FitResult`` per
     row, each bit for bit the result of fitting that row on its own.
     """
     x = np.asarray(series, dtype=float)
-    X = _checked_rows(x)
-    n = X.shape[1]
+    X, center, scale, Y = _standardized(x)
 
-    q1, center, q3 = np.percentile(X, (25.0, 50.0, 75.0), axis=1)
-    scale = np.where(q3 > q1, q3 - q1, X.max(axis=1) - X.min(axis=1))
-    Y = (X - center[:, None]) / scale[:, None]
     # the repair's pass is the ascent's first: value, gradient and Hessian, finite values only
     start, current, means = _repair(_moment_starts(np.sort(Y, axis=1)), Y)
+    best, iterations, stalls = _newton_ascent(start, current, means, Y, scale)
 
-    # d/dmu and d/dsigma in data units are 1/scale times those on y
-    units = np.stack([np.ones(len(X)), 1.0 / scale, 1.0 / scale], axis=1)
-    best, iterations, stalls = _newton_ascent(start, current, means, Y, units)
-
-    thetas = [GevParams(gamma, c + s * mu, s * sigma) for (gamma, mu, sigma), c, s
-              in zip(best.tolist(), center.tolist(), scale.tolist())]
+    thetas = _in_data_units(best, center, scale)
     theta_x = np.array([t.as_array() for t in thetas])
     margins = _margins(theta_x, X)
-    if not np.all(margins > 0.0):
-        row = int(np.argmin(margins > 0.0))
-        where = f"row {row}: " if x.ndim == 2 else ""
-        raise RuntimeError(f"{where}fit ended outside the feasible region "
-                           f"(margin {float(margins[row])!r})")
     loglik, means = _loglik_rows(theta_x, X, floor=-np.inf)
 
     # the stencil needs a finite value at the estimate, as numeric_hessian does
@@ -468,7 +472,7 @@ def fit_mle(series):
         margin = float(margins[row])
         grad_norm = math.hypot(*means[row, :3].tolist())
         failed = [message for fails, message in (
-            (margin <= 1e-6, f"feasibility boundary: min block margin {margin:.3e}"),
+            (not margin > 1e-6, f"feasibility boundary: min block margin {margin:.3e}"),
             (theta_hat.gamma <= GAMMA_FLOOR + 1e-6, "shape pinned at the lower admissible bound"),
             (not grad_norm <= GRAD_TOL, f"gradient norm {grad_norm:.3e} above tolerance"),
             (not negdef[row], "numeric Hessian not negative definite"),
@@ -478,7 +482,7 @@ def fit_mle(series):
             loglik=float(loglik[row]),
             grad_norm=grad_norm,
             hessian_negdef=bool(negdef[row]),
-            n_blocks=n,
+            n_blocks=X.shape[1],
             converged=not failed,
             iterations=int(iterations[row]),
             diagnostic="; ".join(([stalls[row]] if stalls[row] else []) + failed),

@@ -7,11 +7,9 @@ raising, so optimizers can treat infeasible points uniformly.
 
 Each piece is formed once, for one shape or one shape per row: w and e
 in ``_tail`` (the CDF and margins read them), the log-density in
-``_log_density``, every mean gradient and Hessian in ``_derivative_means``,
-which only the fit's row kernel (``fit._loglik_rows``) calls.  Means over
-a series and GEV draws live elsewhere: ``fit.sample_loglik`` and its
-kin are rows of that kernel, and ``distributions.gev_sample`` draws
-through ``sample_iid``.
+``_log_density`` (where it is -inf, the per-point derivatives are refused),
+and every mean gradient and Hessian in ``_derivative_means``, which only
+the fit's row kernel (``fit._loglik_rows``) calls.
 """
 from __future__ import annotations
 
@@ -95,14 +93,15 @@ def _tail(gamma, z):
     return 1.0 + u, log_w, log_e, np.exp(log_e)
 
 
-def _log_density(gamma, z):
+def _log_density(gamma, z, refuse=None):
     """The standardized GEV log-density at ``z`` and the pieces it is built from.
 
     Takes what ``_tail`` takes and returns ``(w, log_w, e, ll)`` with
     ll = -z*L(gamma*z) - log(w) - e, the Gumbel -z - e at gamma == 0.  ll is
     -inf where w <= 0 or e overflows (and where z is NaN); only a row whose
     smallest w or largest e says so is masked element by element, and a sum
-    over such a row is -inf.
+    over such a row is -inf.  A derivative named by ``refuse`` is refused
+    where any ll is -inf.
     """
     with np.errstate(all="ignore"):
         w, log_w, log_e, e = _tail(gamma, z)
@@ -111,6 +110,9 @@ def _log_density(gamma, z):
             bad = ~((w.min(axis=-1) > 0.0) & (e.max(axis=-1) < np.inf))  # NaN counts as bad
             if bad.any():
                 ll[bad] = np.where((w[bad] > 0.0) & (e[bad] != np.inf), ll[bad], -np.inf)
+    if refuse and not np.isfinite(ll).all():
+        raise ValueError(f"{refuse} undefined outside the support, or where "
+                         "(1 + gamma*z)^(-1/gamma) overflows: the log-density is -inf there")
     return w, log_w, e, ll
 
 
@@ -276,32 +278,28 @@ def gev_loglik_gradient(params: GevParams, x) -> np.ndarray:
     """Analytic gradient of ``gev_loglik3`` in (gamma, mu, sigma) at each point.
 
     Returns shape (3,) for a scalar ``x`` and (n, 3) for one series, which
-    passes the one-series check.  Raises on infinite points and on points
-    on or outside the support boundary, where the likelihood is not
-    differentiable.
+    passes the one-series check.  Raises on infinite points and wherever
+    ``gev_loglik3`` is -inf: on or outside the support boundary, or where
+    (1 + gamma*z)^(-1/gamma) overflows.
     """
     x = np.asarray(x, dtype=float)
     row = _series(x.reshape(1) if x.ndim == 0 else x, "gev_loglik_gradient")
     check_finite(row)
-    z = ((row - params.mu) / params.sigma)[None]
-    with np.errstate(all="ignore"):
-        w, log_w, _, e = _tail(params.gamma, z)
-    if np.any(w <= 0):
-        raise ValueError("gradient undefined on or outside the support boundary")
-    d_gamma, d_z, zd_z = _partials(params.gamma, z, w, log_w, e)[0, :3]
-    out = np.stack([d_gamma, -d_z / params.sigma, -(1.0 + zd_z) / params.sigma], axis=-1)
+    with np.errstate(all="ignore"):  # a huge partial is a value, not a fault
+        z = ((row - params.mu) / params.sigma)[None]
+        w, log_w, e, _ = _log_density(params.gamma, z, "gradient")
+        d_gamma, d_z, zd_z = _partials(params.gamma, z, w, log_w, e)[0, :3]
+        out = np.stack([d_gamma, -d_z / params.sigma, -(1.0 + zd_z) / params.sigma], axis=-1)
     return out[0] if x.ndim == 0 else out
 
 
 @_elementwise
 def gev_loglik_x_derivative(gamma: float, x) -> float | np.ndarray:
-    """Derivative of the standardized log-likelihood in x (interior only)."""
-    with np.errstate(all="ignore"):
-        w, _, _, e = _tail(gamma, x)
-    if np.any(w <= 0):
-        raise ValueError("derivative undefined outside the support")
-    # w = 1 at gamma == 0, which 1 + 0*z misses at z = +-inf
-    return (e - (1.0 + gamma)) / w if gamma else e - 1.0
+    """Derivative of the standardized log-likelihood in x; raises where
+    ``gev_loglik`` is -inf."""
+    w, _, e, _ = _log_density(gamma, x, "derivative")
+    with np.errstate(over="ignore"):  # e may be huge, and finite, beside a tiny w
+        return (e - (1.0 + gamma)) / w
 
 
 def gev_mode(gamma: float) -> float:

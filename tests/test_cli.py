@@ -183,6 +183,24 @@ class TestFit:
     def test_missing_file(self, tmp_path):
         assert run("fit", "--in", tmp_path / "nope.txt", "--block-size", 2) == 2
 
+    def test_fit_off_the_region_is_a_record(self, tmp_path, capsys):
+        # three maxima whose ascent ends past the smallest one: a non-converged fit
+        data = tmp_path / "three.txt"
+        data.write_text("0.60378158\n-1.51780969\n7.67094783\n")
+        assert run("fit", "--in", data, "--block-size", 1) == 0
+        record = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                      if " = " in line and not line.startswith("#"))
+        assert record["converged"] == "false"
+        assert record["loglik"] == "-inf"
+        assert "feasibility boundary" in record["diagnostic"]
+
+    def test_unstandardizable_maxima_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "wide.txt"
+        data.write_text("0\n1\n2\n3\n1e308\n")
+        assert run("fit", "--in", data, "--block-size", 1) == 2
+        assert capsys.readouterr().err.startswith(
+            "blockmax: error: cannot standardize: spread 1e+308 over scale 2.0 (")
+
     def test_tied_block_maxima_name_the_file(self, tmp_path, capsys):
         # the raw values differ, but every block of two has maximum 5
         data = tmp_path / "ties.txt"
@@ -282,6 +300,18 @@ class TestStudy:
         assert run(*argv) == 0
         for name, payload in first.items():
             assert (out / name).read_bytes() == payload
+
+    def test_tiny_blocks_study_writes_its_files(self, tmp_path):
+        # 3 and 4 maxima of blocks of two: many fits do not converge, and none raises
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("dist = pareto:alpha=1\nn_grid = 3, 4\ngrowth = fixed:c=2\n"
+                       "replications = 100\nseed = 5\n")
+        out = tmp_path / "out"
+        assert run("study", "--config", cfg, "--out", out) == 0
+        lines = (out / "report.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 200 and any(row.split(",")[6] == "false" for row in rows)
+        assert (out / "summary.txt").read_text().count("\nn=") == 2
 
     def test_obstruction_file_is_the_check(self, tmp_path):
         cfg = tmp_path / "study.cfg"

@@ -24,6 +24,7 @@ from blockmax import (
     params_support,
     gev_reference,
     norm_constants,
+    sample_loglik,
     support_interval,
 )
 from blockmax.gev import (SERIES_CUTOFF, _dphi, _phi, gev_loglik_x_derivative,
@@ -242,6 +243,28 @@ class TestGradient:
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     gev_loglik_gradient(GevParams(gamma, 0.0, 1.0), x)
 
+    def test_refused_where_the_log_density_is_minus_inf(self):
+        # gamma = 1e-3 and sigma = 0.01 put z >= -600 on this sample: w >= 0.4 is
+        # inside the support, but e = w^(-1000) overflows on the smallest points
+        x = gev_sample(GevParams(0.2, 0.0, 1.0), 300, seed=73)
+        theta = GevParams(1e-3, float(np.min(x)) + 6.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_loglik(theta, x) == -math.inf
+            with pytest.raises(ValueError, match="overflows: the log-density is -inf"):
+                gev_loglik_gradient(theta, x)
+            # the points whose log-density is finite keep a gradient, huge or not
+            kept = x[np.isfinite(gev_loglik3(theta, x))]
+            assert 0 < kept.size < x.size
+            assert gev_loglik_gradient(theta, kept).shape == (kept.size, 3)
+
+    def test_huge_but_finite_partials_are_quiet(self):
+        # e = 2^1000 at x = -500: the log-density is finite, and so is its gradient
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = gev_loglik_gradient(GevParams(1e-3, 0.0, 1.0), -500.0)
+        assert np.isfinite(grad).all() and grad[2] > 1e300
+
     def test_tiny_shape_is_continuous_with_gumbel_branch(self):
         theta_zero = GevParams(0.0, 0.0, 1.0)
         for x in (-1.0, 0.4, 2.5):
@@ -282,26 +305,40 @@ class TestExtremeArguments:
         assert np.all(np.isfinite(loglik[expected_finite]))
         assert np.all(loglik[~expected_finite] == -np.inf)
 
-    # -1e8 lies inside the gamma = 1e-9 support, whose lower end is -1e9
+    # -1e8 lies inside the gamma = 1e-9 support, whose lower end is -1e9, and
+    # -999 inside the gamma = 1e-3 one: e = w^(-1/gamma) overflows at each point
     @pytest.mark.parametrize("gamma, points", [
-        (0.0, [-1e300, -1000.0]), (1e-9, [-1e8, -1000.0]), (-0.3, [-1e300])])
-    def test_x_derivative_diverges_quietly(self, gamma, points):
+        (0.0, [-1e300, -1000.0]), (1e-9, [-1e8, -1000.0]), (-0.3, [-1e300]),
+        (1e-3, [-999.0])])
+    def test_x_derivative_refused_where_the_log_density_is_minus_inf(self, gamma, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = gev_loglik_x_derivative(gamma, np.array(points))
-        assert np.all(values == np.inf)
+            assert np.all(gev_loglik(gamma, np.array(points)) == -np.inf)
+            for point in points:
+                with pytest.raises(ValueError, match="overflows: the log-density is -inf"):
+                    gev_loglik_x_derivative(gamma, point)
+
+    def test_x_derivative_huge_but_finite_is_quiet(self):
+        # w = 0.5 at gamma = 1e-3, x = -500, so e = 2^1000: finite, as the log-density is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(gev_loglik(1e-3, -500.0))
+            assert gev_loglik_x_derivative(1e-3, -500.0) == pytest.approx(2.0 ** 1001, rel=1e-9)
 
     def test_x_derivative_raises_below_a_tiny_shape_support(self):
         with pytest.raises(ValueError, match="outside the support"):
             gev_loglik_x_derivative(1e-9, np.array([-1e300]))
 
     def test_gumbel_infinite_arguments(self):
-        # w = 1 for every x at gamma = 0, also at x = -inf and inf
+        # the CDF holds its limits at x = -inf and inf; the density is 0 there,
+        # so the log-density's x-derivative is refused
         x = np.array([-np.inf, np.inf])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert gev_loglik_x_derivative(0.0, x).tolist() == [np.inf, -1.0]
             assert gev_cdf(0.0, x).tolist() == [0.0, 1.0]
+            for point in x:
+                with pytest.raises(ValueError, match="outside the support"):
+                    gev_loglik_x_derivative(0.0, point)
 
 
 @pytest.mark.parametrize("func", [
